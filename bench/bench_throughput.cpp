@@ -29,7 +29,6 @@
 
 #include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
-#include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/model_group.hpp"
@@ -365,19 +364,13 @@ MultiModelReport bench_multi_model(double scale) {
   rep.threads = hw;
   ThreadPool pool(hw);
 
-  const int lane_width = static_cast<int>(
-      cpu::backend::tier_kernels(cpu::resolve_simd_tier(
-                                     cpu::active_simd_tier()))
-          .u8_lanes);
-  const auto plan = hmm::plan_model_groups(lengths, lane_width,
-                                           hmm::fuse_options_from_env());
+  std::vector<const pipeline::HmmSearch*> ptrs;
+  for (const auto& s : searches) ptrs.push_back(s.get());
+  const auto plan = pipeline::HmmSearch::fuse_plan(ptrs);
   rep.groups = plan.groups.size();
   rep.fused_models = plan.fused_models();
   rep.models_per_group = plan.models_per_group();
   rep.lane_occupancy = plan.lane_occupancy();
-
-  std::vector<const pipeline::HmmSearch*> ptrs;
-  for (const auto& s : searches) ptrs.push_back(s.get());
 
   std::vector<pipeline::SearchResult> seq_results;
   pipeline::HmmSearch::CoalescedScan fused;

@@ -12,8 +12,10 @@
 //   --tblout <file>  also write the machine-readable target table
 //   -E <evalue>      report threshold (default 10.0)
 //   --max-hits <n>   print at most n hits (default 50)
-//   --threads <n>    scan with the barrier-parallel CPU engine on n threads
-//   --overlapped     scan with the overlapped streaming CPU engine
+//   --threads <n>    scan with the threaded CPU engine (HmmSearch::scan):
+//                    n pool threads plus the calling thread
+//   --overlapped     the same threaded engine; with --threads 0 (the
+//                    default) it uses every hardware thread
 //   --telemetry <f>  write the unified ScanTelemetry JSON snapshot
 //                    (docs/observability.md) to f
 //   --trace <f>      write a Chrome trace_event JSON (chrome://tracing,
@@ -73,7 +75,11 @@ void usage() {
                "[--stats-json f] <model.hmm> <db.fasta>\n"
                "       hmmsearch_tool --connect HOST:PORT [--db-index n] "
                "[-E evalue] [--tblout f] <model.hmm>\n"
-               "       hmmsearch_tool --demo\n");
+               "       hmmsearch_tool --demo\n"
+               "--threads n and --overlapped both select the threaded CPU "
+               "engine (n pool threads;\n"
+               "--overlapped alone uses every hardware thread); neither "
+               "selects the serial engine.\n");
 }
 
 /// Thrown when the query argument is a multi-model pressed library:
@@ -246,7 +252,7 @@ int main(int argc, char** argv) {
   auto placement = gpu::ParamPlacement::kShared;
   double evalue = 10.0;
   std::size_t max_hits = 50;
-  std::size_t threads = 0;  // 0 = serial engine
+  std::size_t threads = 0;  // 0 = serial engine, unless --overlapped
   std::string hmm_path, fasta_path, tblout_path;
   std::string telemetry_path, trace_path, stats_json_path;
   std::string connect_hostport;
@@ -378,10 +384,8 @@ int main(int argc, char** argv) {
       bio::PackedDatabase packed(db);
       result = search.run_gpu(simt::DeviceSpec::tesla_k40(), db, packed,
                               placement);
-    } else if (overlapped) {
+    } else if (overlapped || threads > 0) {
       result = search.run_cpu_overlapped(src, threads);
-    } else if (threads > 0) {
-      result = search.run_cpu_parallel(src, threads);
     } else {
       result = search.run_cpu(src);
     }

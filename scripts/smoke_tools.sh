@@ -69,6 +69,36 @@ echo "== tblout / domains =="
   "$WORK/model.hmm" "$WORK/homologs.fasta" > /dev/null
 [ "$(grep -cv '^#' "$WORK/hits.tbl")" -eq 8 ]
 
+echo "== engine parity: serial vs threaded (real binaries) =="
+# --threads n and --overlapped select the threaded scan core; its hits,
+# domains, alignments and target table must match the serial engine's
+# byte for byte.  Comment lines carry the output paths, so skip them.
+"$BIN_DIR/hmmemit_tool" "$WORK/model.hmm" 64 "$WORK/many.fasta"
+for mode in serial threads overlapped; do
+  case $mode in
+    serial) flags=() ;;
+    threads) flags=(--threads 3) ;;
+    overlapped) flags=(--overlapped --threads 3) ;;
+  esac
+  "$BIN_DIR/hmmsearch_tool" "${flags[@]}" --domains --ali \
+    --tblout "$WORK/$mode.tbl" "$WORK/model.hmm" "$WORK/many.fasta" \
+    | grep -v '^#' > "$WORK/$mode.report"
+done
+for mode in threads overlapped; do
+  cmp "$WORK/serial.report" "$WORK/$mode.report"
+  cmp "$WORK/serial.tbl" "$WORK/$mode.tbl"
+done
+# A library of three copies of the model forms one fused group; the
+# fused scan must annotate exactly like one model at a time.
+"$BIN_DIR/hmmpress_tool" "$WORK/lib3.fhpdb" "$WORK/model.hmm" \
+  "$WORK/model.hmm" "$WORK/model.hmm" > /dev/null
+"$BIN_DIR/hmmscan_tool" "$WORK/lib3.fhpdb" "$WORK/many.fasta" \
+  > "$WORK/fused.scan"
+grep -q "in 1 groups" "$WORK/fused.scan"
+"$BIN_DIR/hmmscan_tool" --sequential "$WORK/lib3.fhpdb" "$WORK/many.fasta" \
+  > "$WORK/sequential.scan"
+cmp <(grep -v '^#' "$WORK/fused.scan") <(grep -v '^#' "$WORK/sequential.scan")
+
 echo "== quickstart / pfam_scan / gpu_speedup_demo =="
 "$BIN_DIR/quickstart" > /dev/null
 "$BIN_DIR/pfam_scan" 3 120 > /dev/null

@@ -35,22 +35,49 @@ char consensus_char(const hmm::SearchProfile& prof, int k) {
                                   : static_cast<char>(std::tolower(c));
 }
 
-/// Recover the state path from the filled backpointer arrays.  `stride`
-/// is M+1; bm/bi/bd are (L+1)*stride matrices.  Only backpointers along
-/// the optimal path are read, and a finite score guarantees every one of
-/// those was written by the DP.
-ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
-                       const std::uint8_t* bm, const std::uint8_t* bi,
-                       const std::uint8_t* bd, const int* be,
+/// Core-state backpointers held in three (L+1)*(M+1) matrices; mp/ip/dp
+/// read the match predecessor, insert choice and delete choice of a cell.
+struct SplitPointers {
+  const std::uint8_t* bm;
+  const std::uint8_t* bi;
+  const std::uint8_t* bd;
+  std::size_t stride;  // M+1
+  std::size_t at(std::size_t i, int k) const {
+    return i * stride + static_cast<std::size_t>(k);
+  }
+  std::uint8_t mp(std::size_t i, int k) const { return bm[at(i, k)]; }
+  std::uint8_t ip(std::size_t i, int k) const { return bi[at(i, k)]; }
+  std::uint8_t dp(std::size_t i, int k) const { return bd[at(i, k)]; }
+};
+
+/// The same backpointers packed one nibble per cell: the match
+/// predecessor in bits 0-1, the insert choice in bit 2, the delete
+/// choice in bit 3.  Row i holds `row_bytes` = M/2+1 bytes, and cell k
+/// is the low nibble of byte k/2 when k is even, the high one when odd —
+/// a sixth of the memory of SplitPointers.
+struct PackedPointers {
+  const std::uint8_t* bp;
+  std::size_t row_bytes;
+  unsigned cell(std::size_t i, int k) const {
+    const std::uint8_t b =
+        bp[i * row_bytes + static_cast<std::size_t>(k >> 1)];
+    return (k & 1) ? b >> 4 : b & 0xFu;
+  }
+  std::uint8_t mp(std::size_t i, int k) const { return cell(i, k) & 3; }
+  std::uint8_t ip(std::size_t i, int k) const { return (cell(i, k) >> 2) & 1; }
+  std::uint8_t dp(std::size_t i, int k) const { return (cell(i, k) >> 3) & 1; }
+};
+
+/// Recover the state path from the filled backpointers.  Only
+/// backpointers along the optimal path are read, and a finite score
+/// guarantees every one of those was written by the DP.
+template <class Pointers>
+ViterbiTrace backtrace(float score, std::size_t L, Pointers bk, const int* be,
                        const std::uint8_t* bj, const std::uint8_t* bc,
                        const std::uint8_t* bb) {
   ViterbiTrace trace;
   trace.score = score;
   if (trace.score == kNegInf) return trace;  // no path (degenerate input)
-
-  auto at = [stride](std::size_t i, int k) {
-    return i * stride + static_cast<std::size_t>(k);
-  };
 
   // Emits steps in reverse, flipped at the end.
   std::vector<TraceStep> rev;
@@ -76,7 +103,7 @@ ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
         break;
       case St::kM: {
         rev.push_back({TraceState::kM, k, i});
-        std::uint8_t p = bm[at(i, k)];
+        std::uint8_t p = bk.mp(i, k);
         --i;
         if (p == 0) {
           st = St::kB;
@@ -94,14 +121,14 @@ ViterbiTrace backtrace(float score, std::size_t L, std::size_t stride,
       }
       case St::kI: {
         rev.push_back({TraceState::kI, k, i});
-        std::uint8_t p = bi[at(i, k)];
+        std::uint8_t p = bk.ip(i, k);
         --i;
         st = p == 0 ? St::kM : St::kI;
         break;
       }
       case St::kD: {
         rev.push_back({TraceState::kD, k, 0});
-        std::uint8_t p = bd[at(i, k)];
+        std::uint8_t p = bk.dp(i, k);
         --k;
         st = p == 0 ? St::kM : St::kD;
         break;
@@ -226,20 +253,18 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
     pd.swap(cd);
   }
 
-  return backtrace(add(vC[L], xs.c_move), L, static_cast<std::size_t>(M + 1),
-                   bm.data(), bi_.data(), bd.data(), be.data(), bj.data(),
-                   bc.data(), bb.data());
+  return backtrace(add(vC[L], xs.c_move), L,
+                   SplitPointers{bm.data(), bi_.data(), bd.data(),
+                                 static_cast<std::size_t>(M + 1)},
+                   be.data(), bj.data(), bc.data(), bb.data());
 }
 
 void TraceWorkspace::reserve(int M, std::size_t L) {
   const std::size_t stride = static_cast<std::size_t>(M) + 1;
-  const std::size_t cells = (L + 1) * stride;
+  const std::size_t packed = (L + 1) * (static_cast<std::size_t>(M) / 2 + 1);
   if (rows_.size() < 6 * stride) rows_.resize(6 * stride);
-  if (bm_.size() < cells) {
-    bm_.resize(cells);
-    bi_.resize(cells);
-    bd_.resize(cells);
-  }
+  if (row_cells_.size() < stride + 1) row_cells_.resize(stride + 1);
+  if (bp_.size() < packed) bp_.resize(packed);
   if (be_.size() < L + 1) {
     be_.resize(L + 1);
     bj_.resize(L + 1);
@@ -257,15 +282,19 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
   ws.reserve(M, L);
 
   const std::size_t stride = static_cast<std::size_t>(M) + 1;
+  const std::size_t row_bytes = static_cast<std::size_t>(M) / 2 + 1;
   float* pm = ws.rows_.data();
   float* pi = pm + stride;
   float* pd = pi + stride;
   float* cm = pd + stride;
   float* ci = cm + stride;
   float* cd = ci + stride;
-  std::uint8_t* bm = ws.bm_.data();
-  std::uint8_t* bi = ws.bi_.data();
-  std::uint8_t* bd = ws.bd_.data();
+  std::uint8_t* bp = ws.bp_.data();
+  // One row's backpointers a byte per cell, packed into bp after the row;
+  // cells 0 and M+1 are never written and pack as zero nibbles.
+  std::uint8_t* row_cells = ws.row_cells_.data();
+  row_cells[0] = 0;
+  row_cells[M + 1] = 0;
   int* be = ws.be_.data();
   std::uint8_t* bj = ws.bj_.data();
   std::uint8_t* bc = ws.bc_.data();
@@ -285,9 +314,6 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
 
   for (std::size_t i = 1; i <= L; ++i) {
     const std::uint8_t x = seq[i - 1];
-    std::uint8_t* bm_row = bm + i * stride;
-    std::uint8_t* bi_row = bi + i * stride;
-    std::uint8_t* bd_row = bd + i * stride;
     float xE = kNegInf;
     int xEk = 0;
     cm[0] = ci[0] = cd[0] = kNegInf;
@@ -311,7 +337,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
         bv = c3;
         best = 3;
       }
-      bm_row[k] = static_cast<std::uint8_t>(best);
+      int bits = best;
       cm[k] = bv + prof.msc(k, x);
       const float exit_score = cm[k] + prof.esc(k);
       if (exit_score > xE) {
@@ -322,7 +348,7 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k < M) {
         const float im = pm[k] + prof.tsc(k, kPTMI);
         const float ii = pi[k] + prof.tsc(k, kPTII);
-        bi_row[k] = im >= ii ? 0 : 1;
+        if (!(im >= ii)) bits |= 1 << 2;
         ci[k] = std::max(im, ii);
       } else {
         ci[k] = kNegInf;
@@ -330,12 +356,17 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
       if (k >= 2) {
         const float dm = cm[k - 1] + prof.tsc(k - 1, kPTMD);
         const float dd = cd[k - 1] + prof.tsc(k - 1, kPTDD);
-        bd_row[k] = dm >= dd ? 0 : 1;
+        if (!(dm >= dd)) bits |= 1 << 3;
         cd[k] = std::max(dm, dd);
       } else {
         cd[k] = kNegInf;
       }
+      row_cells[k] = static_cast<std::uint8_t>(bits);
     }
+    std::uint8_t* bp_row = bp + i * row_bytes;
+    for (std::size_t b = 0; b < row_bytes; ++b)
+      bp_row[b] = static_cast<std::uint8_t>(row_cells[2 * b] |
+                                            (row_cells[2 * b + 1] << 4));
     be[i] = xEk;
 
     const float j_loop = vJ + xs.j_loop;
@@ -359,7 +390,8 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
     std::swap(pd, cd);
   }
 
-  return backtrace(vC + xs.c_move, L, stride, bm, bi, bd, be, bj, bc, bb);
+  return backtrace(vC + xs.c_move, L, PackedPointers{bp, row_bytes}, be, bj,
+                   bc, bb);
 }
 
 std::vector<Alignment> trace_alignments(const ViterbiTrace& trace,

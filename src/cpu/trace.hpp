@@ -64,9 +64,11 @@ class TraceWorkspace {
   void reserve(int M, std::size_t L);
 
   std::vector<float> rows_;      // 6 rolling value rows of (M+1) floats
-  std::vector<std::uint8_t> bm_; // (L+1)*(M+1) match backpointers
-  std::vector<std::uint8_t> bi_; // (L+1)*(M+1) insert backpointers
-  std::vector<std::uint8_t> bd_; // (L+1)*(M+1) delete backpointers
+  /// (L+1) rows of M/2+1 bytes: the core-state backpointers, one nibble
+  /// per cell (match predecessor in bits 0-1, insert choice bit 2,
+  /// delete choice bit 3).
+  std::vector<std::uint8_t> bp_;
+  std::vector<std::uint8_t> row_cells_;  // M+2: one row before packing
   std::vector<int> be_;          // best exit node per row
   std::vector<std::uint8_t> bj_, bc_, bb_;  // special-state backpointers
 };

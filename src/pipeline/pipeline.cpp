@@ -4,14 +4,11 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "cpu/fwd_filter.hpp"
-#include "cpu/generic.hpp"
-#include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
-#include "cpu/ssv.hpp"
-#include "cpu/vit_filter.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/batch_scanner.hpp"
 #include "pipeline/null2.hpp"
@@ -46,12 +43,24 @@ HmmSearch::HmmSearch(const hmm::Plan7Hmm& model,
       stats_(model_stats),
       thr_(thresholds) {}
 
+struct HmmSearch::Scratch {
+  std::vector<std::uint8_t> codes;  // survivors of a mapped db decode here
+  std::vector<float> mocc;  // decode occupancy track, reused across hits
+  double bwd_seconds = 0.0;
+};
+
 namespace {
 
-float overflow_bits(const profile::MsvProfile& msv, int L) {
-  // A conservative lower bound on an overflowed byte score.
-  return hmm::nats_to_bits(
-      (255.0f - msv.bias() - msv.base()) / msv.scale(), L);
+/// Bit score of a byte-filter result; an overflowed byte score becomes a
+/// conservative lower bound.
+float byte_bits(const profile::MsvProfile& msv, cpu::FilterResult r,
+                std::size_t L) {
+  const int len = static_cast<int>(L);
+  return r.overflowed
+             ? hmm::nats_to_bits((255.0f - msv.bias() - msv.base()) /
+                                     msv.scale(),
+                                 len)
+             : hmm::nats_to_bits(r.score_nats, len);
 }
 
 // The byte filters consume either representation without a decode: the
@@ -69,11 +78,27 @@ cpu::FilterResult msv_score(BatchScanner& scanner, std::size_t w,
                          : scanner.msv(w, src.codes(s), L);
 }
 
+/// (evalue, seq_index) is a total order, so the hit list is a pure
+/// function of the hit set — a cluster coordinator merging shard hits
+/// re-sorts by the same key and reproduces this order byte-for-byte.
+void sort_hits(std::vector<Hit>& hits) {
+  std::sort(hits.begin(), hits.end(), [](const Hit& a, const Hit& b) {
+    return a.evalue != b.evalue ? a.evalue < b.evalue
+                                : a.seq_index < b.seq_index;
+  });
+}
+
+int byte_lane_width() {
+  return cpu::backend::tier_kernels(
+             cpu::resolve_simd_tier(cpu::active_simd_tier()))
+      .u8_lanes;
+}
+
 // --- Telemetry plumbing -------------------------------------------------
 //
 // Stage busy time is accumulated into per-worker slots (cacheline-sized,
 // written only by the owning worker, merged serially after the crew
-// joins) whether or not a recorder is attached: the overlapped engine's
+// joins) whether or not a recorder is attached: the scan core's
 // StageStats::seconds are exactly this merge, so they must not depend on
 // observability being switched on.  The recorder only adds trace spans
 // and the ScanTelemetry snapshot on top.
@@ -82,6 +107,7 @@ struct alignas(64) WorkerClock {
   double stage_s[obs::kStageCount] = {};
   std::uint64_t rescues = 0;        // help-first rescores (full ring)
   std::uint64_t decoded_bytes = 0;  // residues unpacked for word stages
+  std::uint64_t fwd_calls = 0, bwd_calls = 0;  // outside the scanners
 };
 
 std::uint64_t packed_stream_bytes(const ScanSource& src) {
@@ -93,20 +119,20 @@ std::uint64_t packed_stream_bytes(const ScanSource& src) {
 }
 
 void fill_stage(obs::ScanTelemetry& t, const char* name,
-                const StageStats& s, double wall, double busy) {
+                const StageStats& s) {
   obs::StageTelemetry st;
   st.stage = name;
   st.n_in = s.n_in;
   st.n_passed = s.n_passed;
   st.cells = s.cells;
-  st.wall_seconds = wall;
-  st.busy_seconds = busy;
+  st.wall_seconds = s.seconds;
+  st.busy_seconds = s.seconds;
   t.stages.push_back(std::move(st));
 }
 
 /// The shared snapshot skeleton: database shape, byte accounting, and
-/// one StageTelemetry per active stage (wall == busy by default; engines
-/// with other semantics overwrite the fields afterwards).
+/// one StageTelemetry per active stage (wall == busy == StageStats
+/// seconds; the scan core zeroes the walls afterwards).
 obs::ScanTelemetry make_telemetry(const char* engine, const ScanSource& src,
                                   std::size_t threads,
                                   const SearchResult& out, double wall_s,
@@ -122,26 +148,19 @@ obs::ScanTelemetry make_telemetry(const char* engine, const ScanSource& src,
     t.mapped_bytes = packed_stream_bytes(src);
   else
     t.heap_bytes = src.total_residues();
-  if (use_ssv) fill_stage(t, "ssv", out.ssv, out.ssv.seconds, out.ssv.seconds);
-  fill_stage(t, "msv", out.msv, out.msv.seconds, out.msv.seconds);
-  fill_stage(t, "vit", out.vit, out.vit.seconds, out.vit.seconds);
-  fill_stage(t, "fwd", out.fwd, out.fwd.seconds, out.fwd.seconds);
-  if (use_bwd) fill_stage(t, "bwd", out.bwd, out.bwd.seconds, out.bwd.seconds);
+  if (use_ssv) fill_stage(t, "ssv", out.ssv);
+  fill_stage(t, "msv", out.msv);
+  fill_stage(t, "vit", out.vit);
+  fill_stage(t, "fwd", out.fwd);
+  if (use_bwd) fill_stage(t, "bwd", out.bwd);
   return t;
 }
 
-void fill_buckets(obs::ScanTelemetry& t, const ScanSchedule& sched) {
-  t.buckets.reserve(sched.bucket_sequences.size());
-  for (std::size_t b = 0; b < sched.bucket_sequences.size(); ++b)
-    t.buckets.push_back(
-        obs::BucketTelemetry{sched.bucket_sequences[b],
-                             sched.bucket_residues[b]});
-}
-
-/// Per-thread rows from the engine clocks, the scanner's per-worker call
-/// counts, and (when tracing) the recorder's span tallies.
+/// Per-thread rows from the engine clocks (null: none), the scanners'
+/// per-worker call counts, and (when tracing) the recorder's span tallies.
 void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
-                  const WorkerClock* clocks, const BatchScanner& scanner,
+                  const WorkerClock* clocks,
+                  const std::vector<const BatchScanner*>& scanners,
                   const obs::Recorder* rec) {
   t.per_thread.resize(crew);
   for (std::size_t w = 0; w < crew; ++w) {
@@ -152,15 +171,20 @@ void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
         row.stage_busy_seconds[s] = clocks[w].stage_s[s];
       row.help_first_rescues = clocks[w].rescues;
       row.decoded_bytes = clocks[w].decoded_bytes;
+      row.sequences_scored += clocks[w].fwd_calls + clocks[w].bwd_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kFwd)] +=
+          clocks[w].fwd_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kBwd)] +=
+          clocks[w].bwd_calls;
     }
-    if (w < scanner.workers()) {
-      const auto& load = scanner.load(w);
-      row.sequences_scored = load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] = load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] = load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] = load.vit_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kFwd)] = load.fwd_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kBwd)] = load.bwd_calls;
+    for (const BatchScanner* scanner : scanners) {
+      const auto& load = scanner->load(w);
+      row.sequences_scored += load.calls();
+      row.stage_items[static_cast<int>(obs::Stage::kSsv)] += load.ssv_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kMsv)] += load.msv_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kVit)] += load.vit_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kFwd)] += load.fwd_calls;
+      row.stage_items[static_cast<int>(obs::Stage::kBwd)] += load.bwd_calls;
     }
     if (rec != nullptr && w < rec->threads()) {
       row.spans = rec->log_at(w).events().size();
@@ -171,26 +195,56 @@ void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
   for (const auto& row : t.per_thread) t.decoded_bytes += row.decoded_bytes;
 }
 
-/// Overwrite the snapshot's per-stage busy seconds with the per-worker
-/// merge, so "per-thread merge == global totals" holds by construction.
-void merge_busy_from_clocks(obs::ScanTelemetry& t, std::size_t crew,
-                            const WorkerClock* clocks) {
-  for (auto& st : t.stages) {
-    obs::Stage s;
-    if (st.stage == "ssv") s = obs::Stage::kSsv;
-    else if (st.stage == "msv") s = obs::Stage::kMsv;
-    else if (st.stage == "vit") s = obs::Stage::kVit;
-    else if (st.stage == "fwd") s = obs::Stage::kFwd;
-    else if (st.stage == "bwd") s = obs::Stage::kBwd;
-    else continue;
-    double busy = 0.0;
-    for (std::size_t w = 0; w < crew; ++w)
-      busy += clocks[w].stage_s[static_cast<int>(s)];
-    st.busy_seconds = busy;
-  }
+}  // namespace
+
+bool HmmSearch::ssv_gate(cpu::FilterResult r, std::size_t L) const {
+  return r.overflowed ||
+         stats_.ssv_pvalue(byte_bits(msv_, r, L)) <= thr_.ssv_p;
 }
 
-}  // namespace
+bool HmmSearch::msv_gate(cpu::FilterResult r, std::size_t L,
+                         float& bits) const {
+  bits = byte_bits(msv_, r, L);
+  return r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p;
+}
+
+bool HmmSearch::vit_gate(float score_nats, std::size_t L, float& bits) const {
+  bits = hmm::nats_to_bits(score_nats, static_cast<int>(L));
+  return stats_.vit_pvalue(bits) <= thr_.vit_p;
+}
+
+bool HmmSearch::score_forward(cpu::FwdFilter& fwd, const std::uint8_t* codes,
+                              std::size_t L, std::size_t db_size,
+                              Scratch& scratch, Hit& h) const {
+  const float raw = fwd.score(codes, L);
+  // Traceback storage ((L+1)(M+1) nibbles) belongs to the thread and
+  // outlives the scan: a daemon's pool threads reuse it from scan to scan
+  // instead of growing and freeing it in every worker's malloc arena,
+  // which kept each arena's high-water mark resident.
+  thread_local cpu::TraceWorkspace trace_ws;
+  cpu::ViterbiTrace trace;
+  float bias_nats = 0.0f;
+  if (thr_.null2_correction || thr_.compute_alignments)
+    trace = cpu::viterbi_trace(prof_, codes, L, trace_ws);
+  if (thr_.null2_correction) bias_nats = null2_correction(prof_, trace, codes);
+  h.fwd_bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
+  h.pvalue = stats_.fwd_pvalue(h.fwd_bits);
+  h.evalue = stats::evalue(h.pvalue, db_size, thr_.z_override);
+  if (!(h.evalue <= thr_.report_evalue)) return false;
+  h.bias_bits = bias_nats / static_cast<float>(M_LN2);
+  if (thr_.compute_alignments)
+    h.alignments = cpu::trace_alignments(trace, prof_, codes);
+  if (thr_.define_domains) {
+    // Checkpointed Forward/Backward on the active vector tier fills the
+    // occupancy track; envelope definition and rescoring run on it.
+    Timer bwd_t;
+    fwd.decode(codes, L, scratch.mocc);
+    h.domains =
+        cpu::domains_from_occupancy(prof_, codes, L, scratch.mocc.data());
+    scratch.bwd_seconds += bwd_t.seconds();
+  }
+  return true;
+}
 
 SearchResult HmmSearch::run_cpu(ScanSource src) const {
   SearchResult out;
@@ -211,13 +265,8 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
     for (std::size_t s = 0; s < src.size(); ++s) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
-      auto r = ssv_score(scanner, 0, src, s, L);
-      float bits = r.overflowed
-                       ? overflow_bits(msv_, static_cast<int>(L))
-                       : hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
       out.ssv.cells += static_cast<double>(L) * msv_.length();
-      if (r.overflowed || stats_.ssv_pvalue(bits) <= thr_.ssv_p)
+      if (ssv_gate(ssv_score(scanner, 0, src, s, L), L))
         candidates.push_back(s);
     }
     out.ssv.n_passed = candidates.size();
@@ -229,24 +278,18 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
   }
 
   // ---- Stage 1: MSV ----
-  std::vector<std::size_t> msv_pass;
-  std::vector<float> msv_bits_pass;
+  std::vector<Hit> msv_pass;
   out.msv.n_in = candidates.size();
   {
     OBS_SPAN(rec, 0, "msv");
     for (std::size_t s : candidates) {
       const std::size_t L = src.length(s);
       if (L == 0) continue;
-      auto r = msv_score(scanner, 0, src, s, L);
-      float bits = r.overflowed
-                       ? overflow_bits(msv_, static_cast<int>(L))
-                       : hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
       out.msv.cells += static_cast<double>(L) * msv_.length();
-      if (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) {
-        msv_pass.push_back(s);
-        msv_bits_pass.push_back(bits);
-      }
+      Hit h;
+      h.seq_index = s;
+      if (msv_gate(msv_score(scanner, 0, src, s, L), L, h.msv_bits))
+        msv_pass.push_back(std::move(h));
     }
   }
   out.msv.n_passed = msv_pass.size();
@@ -254,35 +297,30 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
 
   // ---- Stage 2: P7Viterbi over the MSV survivors ----
   timer.reset();
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
+  std::vector<Hit> vit_pass;
   out.vit.n_in = msv_pass.size();
   std::vector<std::uint8_t> scratch;
   if (src.zero_copy()) scratch.resize(src.max_length());
   {
     OBS_SPAN(rec, 0, "vit");
-    for (std::size_t s : msv_pass) {
-      const std::size_t L = src.length(s);
-      const std::uint8_t* codes = src.fetch_codes(s, scratch.data());
-      auto r = scanner.vit(0, codes, L);
-      float bits = hmm::nats_to_bits(r.score_nats, static_cast<int>(L));
+    for (Hit& h : msv_pass) {
+      const std::size_t L = src.length(h.seq_index);
+      const std::uint8_t* codes = src.fetch_codes(h.seq_index, scratch.data());
       out.vit.cells += static_cast<double>(L) * vit_.length();
-      if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
-        vit_pass.push_back(s);
-        vit_bits_pass.push_back(bits);
-      }
+      if (vit_gate(scanner.vit(0, codes, L).score_nats, L, h.vit_bits))
+        vit_pass.push_back(std::move(h));
     }
   }
   out.vit.n_passed = vit_pass.size();
   out.vit.seconds = timer.seconds();
 
-  forward_stage(src, vit_pass, vit_bits_pass, out);
+  forward_stage(src, std::move(vit_pass), out);
 
   if (rec) {
     out.telemetry = make_telemetry("cpu_serial", src, 1, out,
                                    total.seconds(), thr_.use_ssv_prefilter,
                                    thr_.define_domains);
-    fill_threads(*out.telemetry, 1, /*clocks=*/nullptr, scanner, rec);
+    fill_threads(*out.telemetry, 1, /*clocks=*/nullptr, {&scanner}, rec);
     // Serial engine: one thread, busy == wall per stage.
     auto& row = out.telemetry->per_thread[0];
     row.stage_busy_seconds[static_cast<int>(obs::Stage::kSsv)] =
@@ -302,345 +340,319 @@ SearchResult HmmSearch::run_cpu(ScanSource src) const {
 SearchResult HmmSearch::run_cpu_parallel(ScanSource src,
                                          std::size_t threads) const {
   ThreadPool pool(threads);
-  return run_cpu_parallel(src, pool);
+  return scan_one(src, pool, "cpu_parallel");
 }
 
 SearchResult HmmSearch::run_cpu_parallel(ScanSource src,
                                          ThreadPool& pool) const {
-  SearchResult out;
-  obs::Recorder* rec =
-      (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
-  const std::size_t crew = pool.workers();
-  if (rec) rec->reserve_threads(crew);
-  // Per-worker stage clocks, merged serially after each barrier: the
-  // busy-time accounting never crosses threads mid-flight.
-  std::vector<WorkerClock> clocks(crew);
-  Timer total;
-  Timer timer;
-  const std::size_t n = src.size();
-
-  // All mutable filter state lives in the scanner, one slot per worker;
-  // the scan loops below allocate nothing per sequence.
-  BatchScanner scanner(msv_, vit_, /*fwd=*/nullptr, pool.workers());
-
-  // Workers grab small index ranges of the length-bucketed order from a
-  // shared cursor: chunks hold similar-length sequences (balanced cost,
-  // warm DP rows) and the longest buckets are issued first, so neither a
-  // run of long sequences nor the scan's tail can strand on one thread.
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  const ScanSchedule sched = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
-
-  // ---- Stage 0+1: (optional SSV, then) MSV, fanned out over the pool.
-  // Within a chunk the stages are fused: a sequence failing SSV never
-  // reaches MSV, exactly like the serial engine, so hit lists agree.
-  out.msv.n_in = n;
-  std::vector<std::uint8_t> ssv_keep(n, 1);
-  std::vector<std::uint8_t> msv_keep(n, 0);
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "msv.chunk");
-        Timer chunk_t;
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = sched.order[idx];
-          if (idx + 1 < end) src.prefetch(sched.order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            if (thr_.use_ssv_prefilter) ssv_keep[s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          if (thr_.use_ssv_prefilter) {
-            Timer ssv_t;
-            auto sr = ssv_score(scanner, worker, src, s, L);
-            clocks[worker].stage_s[static_cast<int>(obs::Stage::kSsv)] +=
-                ssv_t.seconds();
-            chunk_t.reset();  // keep the SSV share out of the MSV clock
-            float sbits =
-                sr.overflowed
-                    ? overflow_bits(msv_, static_cast<int>(L))
-                    : hmm::nats_to_bits(sr.score_nats,
-                                        static_cast<int>(L));
-            if (!sr.overflowed && stats_.ssv_pvalue(sbits) > thr_.ssv_p) {
-              ssv_keep[s] = 0;
-              continue;
-            }
-          }
-          auto r = msv_score(scanner, worker, src, s, L);
-          clocks[worker].stage_s[static_cast<int>(obs::Stage::kMsv)] +=
-              chunk_t.seconds();
-          chunk_t.reset();
-          float bits =
-              r.overflowed
-                  ? overflow_bits(msv_, static_cast<int>(L))
-                  : hmm::nats_to_bits(r.score_nats,
-                                      static_cast<int>(L));
-          msv_keep[s] =
-              (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) ? 1
-                                                                      : 0;
-        }
-      });
-  // Serial stats replay in index order: identical to the serial engine no
-  // matter how the bucketed scan interleaved.
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < n; ++s) {
-    double cells = static_cast<double>(src.length(s)) * msv_.length();
-    if (thr_.use_ssv_prefilter) {
-      out.ssv.n_in += 1;
-      out.ssv.cells += cells;
-      if (!ssv_keep[s]) continue;
-      out.ssv.n_passed += 1;
-    }
-    out.msv.cells += cells;
-    if (msv_keep[s]) msv_pass.push_back(s);
-  }
-  if (thr_.use_ssv_prefilter) out.msv.n_in = out.ssv.n_passed;
-  out.msv.n_passed = msv_pass.size();
-  out.msv.seconds = timer.seconds();
-
-  // ---- Stage 2: P7Viterbi over survivors ----
-  timer.reset();
-  out.vit.n_in = msv_pass.size();
-  std::vector<float> vit_bits_all(msv_pass.size());
-  std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-  std::vector<std::vector<std::uint8_t>> scratch(pool.workers());
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  pool.parallel_for_chunked(
-      msv_pass.size(), kVitChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "vit.chunk");
-        Timer chunk_t;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t s = msv_pass[i];
-          const std::size_t L = src.length(s);
-          const std::uint8_t* codes =
-              src.fetch_codes(s, scratch[worker].data());
-          if (src.zero_copy()) clocks[worker].decoded_bytes += L;
-          auto r = scanner.vit(worker, codes, L);
-          float bits = hmm::nats_to_bits(r.score_nats,
-                                         static_cast<int>(L));
-          vit_bits_all[i] = bits;
-          vit_keep[i] = stats_.vit_pvalue(bits) <= thr_.vit_p ? 1 : 0;
-        }
-        clocks[worker].stage_s[static_cast<int>(obs::Stage::kVit)] +=
-            chunk_t.seconds();
-      });
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
-  for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-    out.vit.cells +=
-        static_cast<double>(src.length(msv_pass[i])) * vit_.length();
-    if (vit_keep[i]) {
-      vit_pass.push_back(msv_pass[i]);
-      vit_bits_pass.push_back(vit_bits_all[i]);
-    }
-  }
-  out.vit.n_passed = vit_pass.size();
-  out.vit.seconds = timer.seconds();
-
-  forward_stage(src, vit_pass, vit_bits_pass, out);
-
-  if (rec) {
-    out.telemetry =
-        make_telemetry("cpu_parallel", src, crew, out, total.seconds(),
-                       thr_.use_ssv_prefilter, thr_.define_domains);
-    // Stage wall clocks stay authoritative (barrier-separated stages);
-    // the merged per-worker clocks supply the busy view.
-    merge_busy_from_clocks(*out.telemetry, crew, clocks.data());
-    if (auto* fwd_stage_t = const_cast<obs::StageTelemetry*>(
-            out.telemetry->stage("fwd")))
-      fwd_stage_t->busy_seconds = out.fwd.seconds;  // serial stage
-    if (auto* bwd_stage_t = const_cast<obs::StageTelemetry*>(
-            out.telemetry->stage("bwd")))
-      bwd_stage_t->busy_seconds = out.bwd.seconds;  // serial stage
-    fill_buckets(*out.telemetry, sched);
-    fill_threads(*out.telemetry, crew, clocks.data(), scanner, rec);
-  }
-  return out;
+  return scan_one(src, pool, "cpu_parallel");
 }
 
 SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
-                                          std::size_t threads) const {
+                                           std::size_t threads) const {
   ThreadPool pool(threads);
-  return run_cpu_overlapped(src, pool);
+  return scan_one(src, pool, "cpu_overlapped");
 }
 
 SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
-                                          ThreadPool& pool) const {
-  SearchResult out;
+                                           ThreadPool& pool) const {
+  return scan_one(src, pool, "cpu_overlapped");
+}
+
+HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
+    const std::vector<const HmmSearch*>& searches, ScanSource src,
+    ThreadPool& pool, const ScanSchedule* schedule, obs::Recorder* rec) {
+  return scan(searches, src, pool, nullptr, schedule, rec, "cpu_coalesced");
+}
+
+HmmSearch::CoalescedScan HmmSearch::run_cpu_fused(
+    const std::vector<const HmmSearch*>& searches, ScanSource src,
+    ThreadPool& pool, const hmm::FusePlan* plan, obs::Recorder* rec) {
+  const hmm::FusePlan local = plan ? hmm::FusePlan{} : fuse_plan(searches);
+  return scan(searches, src, pool, plan ? plan : &local, nullptr, rec,
+              "cpu_fused");
+}
+
+SearchResult HmmSearch::scan_one(ScanSource src, ThreadPool& pool,
+                                 const char* engine) const {
   obs::Recorder* rec =
       (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
-  Timer timer;
+  CoalescedScan r = scan({this}, src, pool, nullptr, nullptr, rec, engine);
+  if (rec) r.per_model[0].telemetry = std::move(r.telemetry);
+  return std::move(r.per_model[0]);
+}
+
+hmm::FusePlan HmmSearch::fuse_plan(
+    const std::vector<const HmmSearch*>& searches) {
+  std::vector<int> lengths;
+  lengths.reserve(searches.size());
+  for (const HmmSearch* hs : searches) {
+    FH_REQUIRE(hs != nullptr, "fuse plan given a null model");
+    lengths.push_back(hs->msv_.length());
+  }
+  return hmm::plan_model_groups(lengths, byte_lane_width(),
+                                hmm::fuse_options_from_env());
+}
+
+HmmSearch::CoalescedScan HmmSearch::scan(
+    const std::vector<const HmmSearch*>& searches, ScanSource src,
+    ThreadPool& pool, const hmm::FusePlan* plan, const ScanSchedule* schedule,
+    obs::Recorder* rec, const char* engine) {
+  FH_REQUIRE(!searches.empty(), "scan needs at least one model");
+  for (const HmmSearch* hs : searches)
+    FH_REQUIRE(hs != nullptr, "scan given a null model");
+  const std::size_t k = searches.size();
   const std::size_t n = src.size();
   const std::size_t crew = pool.workers();
-  if (rec) rec->reserve_threads(crew);
-  // Stage busy time banks into per-worker slots during the scan and is
-  // merged serially at drain — StageStats::seconds is never written by
-  // two threads (the overlapped stages have no wall-clock identity, so
-  // the merge IS the stage time).  Always on: one Timer read per filter
-  // call, independent of whether a recorder is attached.
-  std::vector<WorkerClock> clocks(crew);
-  const bool need_trace = thr_.null2_correction || thr_.compute_alignments;
+  if (rec != nullptr && rec->enabled())
+    rec->reserve_threads(crew);
+  else
+    rec = nullptr;
+  Timer total;
 
-  // Every worker can run any stage, so the scanner carries the Forward
-  // profile too; trace workspaces and decode scratch are per worker,
-  // allocated once here — the scan itself allocates only for reported
-  // hits (names, alignments).
-  BatchScanner scanner(msv_, vit_, &fwd_, crew);
-  std::vector<cpu::TraceWorkspace> workspaces(crew);
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  // Per-worker occupancy tracks for the checkpointed decode; reused
-  // across hits so the steady state allocates nothing.
-  std::vector<std::vector<float>> moccs(crew);
+  ScanSchedule local_schedule;
+  if (schedule == nullptr) {
+    local_schedule = make_length_schedule(
+        n, [&src](std::size_t i) { return src.length(i); });
+    schedule = &local_schedule;
+  }
 
-  const ScanSchedule sched = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
+  // Every model gets byte/Viterbi scan state sized to the crew: any
+  // worker may score any model.  Model parameters are shared read-only;
+  // only DP state is per worker.
+  std::vector<std::unique_ptr<BatchScanner>> scanners;
+  scanners.reserve(k);
+  for (const HmmSearch* hs : searches)
+    scanners.push_back(
+        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, nullptr, crew));
 
-  // Per-index result slots: which worker rescored a survivor, and when,
-  // never shows in the output.
-  struct Rescore {
-    float vit_bits = 0.0f;
-    float fwd_bits = 0.0f;
-    float bias_bits = 0.0f;
-    double pvalue = 1.0;
-    double evalue = 1e9;
-    std::uint8_t vit_pass = 0;
-    std::uint8_t reported = 0;
-    std::uint8_t scored = 0;  // a rescore consumed this survivor
-    std::vector<cpu::Alignment> alignments;
-    std::vector<cpu::Domain> domains;
+  // A unit is what the sweep scores per sequence in one call: a fused
+  // group (shared table + per-worker filters) or one lone model.
+  struct Unit {
+    std::vector<std::size_t> members;
+    bool any_ssv = false;
+    std::unique_ptr<cpu::FusedMsvGroup> group;  // null: lone model
+    std::vector<cpu::FusedMsvFilter> filters;   // per worker
   };
-  std::vector<std::uint8_t> ssv_keep(n, 1);
-  std::vector<std::uint8_t> msv_keep(n, 0);
-  std::vector<Rescore> rescored(n);
+  std::vector<Unit> units;
+  auto add_unit = [&](std::vector<std::size_t> members) {
+    Unit& u = units.emplace_back();
+    u.members = std::move(members);
+    for (std::size_t m : u.members)
+      u.any_ssv = u.any_ssv || searches[m]->thr_.use_ssv_prefilter;
+  };
+  std::size_t max_unit = 1;
+  if (plan != nullptr) {
+    const cpu::SimdTier tier = cpu::resolve_simd_tier(cpu::active_simd_tier());
+    FH_REQUIRE(plan->lane_width == byte_lane_width(),
+               "fuse plan built for a different lane width");
+    // Every model index must appear exactly once across groups + unfused.
+    std::vector<std::uint8_t> seen(k, 0);
+    auto mark = [&](std::size_t m) {
+      FH_REQUIRE(m < k && !seen[m],
+                 "fuse plan does not cover the model list exactly once");
+      seen[m] = 1;
+    };
+    for (const hmm::GroupShape& shape : plan->groups) {
+      std::vector<const profile::MsvProfile*> profiles;
+      for (std::size_t m : shape.members) {
+        mark(m);
+        profiles.push_back(&searches[m]->msv_);
+      }
+      add_unit(shape.members);
+      Unit& u = units.back();
+      u.group = std::make_unique<cpu::FusedMsvGroup>(
+          std::move(profiles), plan->lane_width, shape.Q);
+      u.filters.reserve(crew);
+      for (std::size_t w = 0; w < crew; ++w)
+        u.filters.emplace_back(*u.group, tier);
+      max_unit = std::max(max_unit, shape.members.size());
+    }
+    for (std::size_t m : plan->unfused) {
+      mark(m);
+      add_unit({m});
+    }
+    for (std::size_t m = 0; m < k; ++m)
+      FH_REQUIRE(seen[m], "fuse plan misses a model");
+  } else {
+    for (std::size_t m = 0; m < k; ++m) add_unit({m});
+  }
 
-  // MSV survivors flow through a bounded queue to whichever worker goes
-  // idle first.  try_push backpressure is "help-first": a producer facing
-  // a full ring rescores one queued survivor itself, so the crew cannot
-  // deadlock and the queue stays a fixed ring.
-  BoundedMpmcQueue<std::uint32_t> queue(std::max<std::size_t>(64, 8 * crew));
+  // What the queue carries and what a rescore leaves behind: sparse
+  // records for MSV survivors only, never a slot per (model, sequence).
+  struct Item {
+    std::uint32_t model = 0;
+    std::uint32_t seq = 0;
+    float msv_bits = 0.0f;
+  };
+  struct Survivor {
+    std::uint32_t model = 0;
+    std::uint32_t seq = 0;
+    bool vit_pass = false;
+  };
+  struct Reported {
+    std::uint32_t model = 0;
+    Hit hit;
+  };
+  struct Tally {  // SSV passes, for the stats replay
+    std::uint64_t passed = 0;
+    std::uint64_t residues = 0;
+  };
+  struct Worker {
+    Scratch scratch;
+    // The Forward filter of the model this worker rescored last, rebuilt
+    // when the model changes: its wide parameter copy costs about 160
+    // bytes per model position, too much to hold for a whole library.
+    std::optional<cpu::FwdFilter> fwd;
+    std::size_t fwd_model = 0;
+    std::vector<cpu::FilterResult> ssv, msv;  // per unit member
+    std::vector<std::uint8_t> ssv_pass;       // per unit member
+    std::vector<Tally> tally;                 // per model
+    std::vector<Survivor> found;
+    std::vector<Reported> hits;
+  };
+  std::vector<WorkerClock> clocks(crew);
+  std::vector<Worker> workers(crew);
+  for (Worker& me : workers) {
+    if (src.zero_copy()) me.scratch.codes.resize(src.max_length());
+    me.ssv.resize(max_unit);
+    me.msv.resize(max_unit);
+    me.ssv_pass.resize(max_unit);
+    me.tally.resize(k);
+  }
+
+  BoundedMpmcQueue<Item> queue(std::max<std::size_t>(64, 8 * crew));
+
+  auto rescore = [&](std::size_t w, const Item& item) {
+    OBS_SPAN(rec, w, "rescore");
+    Worker& me = workers[w];
+    const HmmSearch& hs = *searches[item.model];
+    BatchScanner& scanner = *scanners[item.model];
+    const std::size_t L = src.length(item.seq);
+    const std::uint8_t* codes =
+        src.fetch_codes(item.seq, me.scratch.codes.data());
+    if (src.zero_copy()) clocks[w].decoded_bytes += L;
+    Hit h;
+    h.seq_index = item.seq;
+    h.msv_bits = item.msv_bits;
+
+    Timer stage_t;
+    const bool vit_pass =
+        hs.vit_gate(scanner.vit(w, codes, L).score_nats, L, h.vit_bits);
+    clocks[w].stage_s[static_cast<int>(obs::Stage::kVit)] += stage_t.seconds();
+    me.found.push_back({item.model, item.seq, vit_pass});
+    if (!vit_pass) return;
+
+    stage_t.reset();
+    if (!me.fwd || me.fwd_model != item.model) {
+      me.fwd.emplace(hs.fwd_);
+      me.fwd_model = item.model;
+    }
+    me.scratch.bwd_seconds = 0.0;
+    const bool reported =
+        hs.score_forward(*me.fwd, codes, L, n, me.scratch, h);
+    ++clocks[w].fwd_calls;
+    if (reported && hs.thr_.define_domains) ++clocks[w].bwd_calls;
+    if (reported) me.hits.push_back({item.model, std::move(h)});
+    clocks[w].stage_s[static_cast<int>(obs::Stage::kFwd)] +=
+        stage_t.seconds() - me.scratch.bwd_seconds;
+    clocks[w].stage_s[static_cast<int>(obs::Stage::kBwd)] +=
+        me.scratch.bwd_seconds;
+  };
+
+  auto push = [&](std::size_t w, const Item& item) {
+    while (!queue.try_push(item)) {
+      // Help-first backpressure: the ring is full, so this producer
+      // rescores one queued survivor itself.
+      Item other;
+      if (queue.try_pop(other)) {
+        ++clocks[w].rescues;
+        rescore(w, other);
+      }
+    }
+  };
+
+  // One unit against one sequence: SSV (when any member uses it), then
+  // MSV for the members still standing, survivors onto the queue.
+  auto sweep = [&](std::size_t w, Unit& u, std::size_t s, std::size_t L) {
+    Worker& me = workers[w];
+    auto score = [&](bool ssv, cpu::FilterResult* out) {
+      if (u.group == nullptr) {
+        BatchScanner& scanner = *scanners[u.members[0]];
+        *out = ssv ? ssv_score(scanner, w, src, s, L)
+                   : msv_score(scanner, w, src, s, L);
+      } else if (src.zero_copy()) {
+        ssv ? u.filters[w].ssv(src.packed(s), L, out)
+            : u.filters[w].msv(src.packed(s), L, out);
+      } else {
+        ssv ? u.filters[w].ssv(src.codes(s), L, out)
+            : u.filters[w].msv(src.codes(s), L, out);
+      }
+    };
+    Timer stage_t;
+    bool need_msv = !u.any_ssv;
+    if (u.any_ssv) {
+      score(true, me.ssv.data());
+      clocks[w].stage_s[static_cast<int>(obs::Stage::kSsv)] +=
+          stage_t.seconds();
+      stage_t.reset();
+      for (std::size_t i = 0; i < u.members.size(); ++i) {
+        const std::size_t m = u.members[i];
+        const HmmSearch& hs = *searches[m];
+        const bool pass =
+            !hs.thr_.use_ssv_prefilter || hs.ssv_gate(me.ssv[i], L);
+        if (pass && hs.thr_.use_ssv_prefilter) {
+          ++me.tally[m].passed;
+          me.tally[m].residues += L;
+        }
+        me.ssv_pass[i] = pass ? 1 : 0;
+        need_msv = need_msv || pass;
+      }
+    }
+    if (!need_msv) return;  // every member shed by SSV
+    score(false, me.msv.data());
+    clocks[w].stage_s[static_cast<int>(obs::Stage::kMsv)] += stage_t.seconds();
+    for (std::size_t i = 0; i < u.members.size(); ++i) {
+      if (u.any_ssv && !me.ssv_pass[i]) continue;
+      Item item;
+      item.model = static_cast<std::uint32_t>(u.members[i]);
+      item.seq = static_cast<std::uint32_t>(s);
+      if (searches[item.model]->msv_gate(me.msv[i], L, item.msv_bits))
+        push(w, item);
+    }
+  };
+
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> producers_done{0};
   constexpr std::size_t kChunk = 16;
-
-  auto rescore = [&](std::size_t w, std::uint32_t item) {
-    OBS_SPAN(rec, w, "rescore");
-    const std::size_t s = item;
-    const std::size_t L = src.length(s);
-    const std::uint8_t* codes = src.fetch_codes(s, scratch[w].data());
-    if (src.zero_copy()) clocks[w].decoded_bytes += L;
-    Rescore& slot = rescored[s];
-    // Each survivor is pushed once and popped once; a second rescore of
-    // the same slot would mean the queue duplicated an item.
-    FINEHMM_CHECK(!slot.scored, "survivor rescored twice");
-    slot.scored = 1;
-
-    Timer stage_t;
-    auto r = scanner.vit(w, codes, L);
-    clocks[w].stage_s[static_cast<int>(obs::Stage::kVit)] +=
-        stage_t.seconds();
-    slot.vit_bits = hmm::nats_to_bits(r.score_nats, static_cast<int>(L));
-    if (!(stats_.vit_pvalue(slot.vit_bits) <= thr_.vit_p)) return;
-    slot.vit_pass = 1;
-
-    stage_t.reset();
-    float raw = scanner.fwd(w, codes, L);
-    cpu::ViterbiTrace trace;
-    float bias_nats = 0.0f;
-    if (need_trace) trace = cpu::viterbi_trace(prof_, codes, L, workspaces[w]);
-    if (thr_.null2_correction)
-      bias_nats = null2_correction(prof_, trace, codes);
-    float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
-    double p = stats_.fwd_pvalue(bits);
-    double e = stats::evalue(p, n, thr_.z_override);
-    if (e <= thr_.report_evalue) {
-      slot.reported = 1;
-      slot.fwd_bits = bits;
-      slot.bias_bits = bias_nats / static_cast<float>(M_LN2);
-      slot.pvalue = p;
-      slot.evalue = e;
-      if (thr_.compute_alignments)
-        slot.alignments = cpu::trace_alignments(trace, prof_, codes);
-    }
-    clocks[w].stage_s[static_cast<int>(obs::Stage::kFwd)] +=
-        stage_t.seconds();
-    if (slot.reported && thr_.define_domains) {
-      // Checkpointed Forward/Backward on the scanner's vectorized tier:
-      // decode fills the occupancy track, envelope definition and
-      // rescoring run on it directly.  Banked as its own stage (kBwd).
-      OBS_SPAN(rec, w, "bwd");
-      Timer bwd_t;
-      scanner.decode(w, codes, L, moccs[w]);
-      slot.domains =
-          cpu::domains_from_occupancy(prof_, codes, L, moccs[w].data());
-      clocks[w].stage_s[static_cast<int>(obs::Stage::kBwd)] +=
-          bwd_t.seconds();
-    }
-  };
-
   pool.run_workers(crew, [&](std::size_t w) {
-    // Produce: bucketed SSV/MSV sweep, survivors onto the queue.
-    for (;;) {
-      const std::size_t begin =
-          cursor.fetch_add(kChunk, std::memory_order_relaxed);
-      if (begin >= n) break;
-      const std::size_t end = std::min(begin + kChunk, n);
-      OBS_SPAN(rec, w, "produce.chunk");
-      for (std::size_t idx = begin; idx < end; ++idx) {
-        const std::size_t s = sched.order[idx];
-        if (idx + 1 < end) src.prefetch(sched.order[idx + 1]);
-        const std::size_t L = src.length(s);
-        if (L == 0) {
-          if (thr_.use_ssv_prefilter) ssv_keep[s] = 0;
-          continue;
-        }
-        Timer stage_t;
-        if (thr_.use_ssv_prefilter) {
-          auto sr = ssv_score(scanner, w, src, s, L);
-          clocks[w].stage_s[static_cast<int>(obs::Stage::kSsv)] +=
-              stage_t.seconds();
-          stage_t.reset();
-          float sbits = sr.overflowed
-                            ? overflow_bits(msv_, static_cast<int>(L))
-                            : hmm::nats_to_bits(sr.score_nats,
-                                                static_cast<int>(L));
-          if (!sr.overflowed && stats_.ssv_pvalue(sbits) > thr_.ssv_p) {
-            ssv_keep[s] = 0;
-            continue;
-          }
-        }
-        auto r = msv_score(scanner, w, src, s, L);
-        clocks[w].stage_s[static_cast<int>(obs::Stage::kMsv)] +=
-            stage_t.seconds();
-        float bits = r.overflowed
-                         ? overflow_bits(msv_, static_cast<int>(L))
-                         : hmm::nats_to_bits(r.score_nats,
-                                             static_cast<int>(L));
-        if (r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p) {
-          msv_keep[s] = 1;
-          const auto item = static_cast<std::uint32_t>(s);
-          while (!queue.try_push(item)) {
-            // Help-first backpressure: the ring is full, so this
-            // producer rescores one queued survivor itself.
-            std::uint32_t other;
-            if (queue.try_pop(other)) {
-              ++clocks[w].rescues;
-              rescore(w, other);
-            }
-          }
+    {
+      // Counts this producer out even if its sweep throws, so the rest
+      // of the crew still drains and joins.
+      struct Done {
+        std::atomic<std::size_t>& count;
+        ~Done() { count.fetch_add(1, std::memory_order_release); }
+      } done{producers_done};
+      for (;;) {
+        const std::size_t begin =
+            cursor.fetch_add(kChunk, std::memory_order_relaxed);
+        if (begin >= n) break;
+        const std::size_t end = std::min(begin + kChunk, n);
+        OBS_SPAN(rec, w, "produce.chunk");
+        for (std::size_t idx = begin; idx < end; ++idx) {
+          const std::size_t s = schedule->order[idx];
+          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
+          const std::size_t L = src.length(s);
+          if (L == 0) continue;  // fails the first active stage
+          for (Unit& u : units) sweep(w, u, s, L);
         }
       }
     }
-    producers_done.fetch_add(1, std::memory_order_release);
     // Drain: rescore until the queue is empty AND no producer can still
-    // push (all done).
+    // push.
     OBS_SPAN(rec, w, "drain");
     for (;;) {
-      std::uint32_t item;
+      Item item;
       if (queue.try_pop(item)) {
         rescore(w, item);
         continue;
@@ -650,695 +662,138 @@ SearchResult HmmSearch::run_cpu_overlapped(ScanSource src,
     }
   });
 
-  // The crew has joined: the ring must be drained (pops == pushes) and
-  // every MSV survivor must have been rescored by exactly one worker.
-  FINEHMM_CHECK(queue.empty(), "overlapped scan left survivors queued");
-#if FINEHMM_CHECKS_ENABLED
-  {
-    const auto qs = queue.stats();
-    FINEHMM_CHECK(qs.pops == qs.pushes,
-                  "drained queue must have pops == pushes");
-    FINEHMM_CHECK(qs.max_depth <= queue.capacity(),
-                  "queue depth exceeded its capacity");
-    for (std::size_t s = 0; s < n; ++s)
-      FINEHMM_DCHECK(rescored[s].scored == msv_keep[s],
-                     "every MSV survivor is rescored exactly once");
-  }
-#endif
+  // The crew has joined: the ring must be drained, and every survivor
+  // pushed was rescored by exactly one worker.
+  const auto qs = queue.stats();
+  FINEHMM_CHECK(queue.empty(), "scan left survivors queued");
+  FINEHMM_CHECK(qs.pops == qs.pushes, "drained queue must have pops == pushes");
+  FINEHMM_CHECK(qs.max_depth <= queue.capacity(),
+                "queue depth exceeded its capacity");
 
-  // Serial stats replay and hit assembly in index order: output identical
-  // to run_cpu regardless of which worker rescored what, when.
-  out.msv.n_in = n;
-  std::vector<std::size_t> msv_pass;
-  for (std::size_t s = 0; s < n; ++s) {
-    double cells = static_cast<double>(src.length(s)) * msv_.length();
-    if (thr_.use_ssv_prefilter) {
-      out.ssv.n_in += 1;
-      out.ssv.cells += cells;
-      if (!ssv_keep[s]) continue;
-      out.ssv.n_passed += 1;
-    }
-    out.msv.cells += cells;
-    if (msv_keep[s]) msv_pass.push_back(s);
-  }
-  if (thr_.use_ssv_prefilter) out.msv.n_in = out.ssv.n_passed;
-  out.msv.n_passed = msv_pass.size();
-
-  out.vit.n_in = msv_pass.size();
-  std::vector<std::size_t> vit_pass;
-  for (std::size_t s : msv_pass) {
-    out.vit.cells += static_cast<double>(src.length(s)) * vit_.length();
-    if (rescored[s].vit_pass) vit_pass.push_back(s);
-  }
-  out.vit.n_passed = vit_pass.size();
-
-  out.fwd.n_in = vit_pass.size();
-  for (std::size_t s : vit_pass) {
-    out.fwd.cells += static_cast<double>(src.length(s)) * prof_.length();
-    Rescore& slot = rescored[s];
-    if (!slot.reported) continue;
-    if (thr_.define_domains) {
-      out.bwd.n_in += 1;
-      out.bwd.n_passed += 1;
-      out.bwd.cells += static_cast<double>(src.length(s)) * prof_.length();
-    }
-    Hit h;
-    h.seq_index = s;
-    h.name = std::string(src.name(s));
-    h.vit_bits = slot.vit_bits;
-    h.fwd_bits = slot.fwd_bits;
-    h.bias_bits = slot.bias_bits;
-    h.pvalue = slot.pvalue;
-    h.evalue = slot.evalue;
-    h.alignments = std::move(slot.alignments);
-    h.domains = std::move(slot.domains);
-    out.hits.push_back(std::move(h));
-    ++out.fwd.n_passed;
-  }
-  // (evalue, seq_index) is a total order, so the hit list is a pure
-  // function of the hit set — a cluster coordinator merging shard hits
-  // re-sorts by the same key and reproduces this order byte-for-byte.
-  std::sort(out.hits.begin(), out.hits.end(), [](const Hit& a, const Hit& b) {
-    return a.evalue != b.evalue ? a.evalue < b.evalue
-                                : a.seq_index < b.seq_index;
-  });
-  // Stages overlap by design, so no per-stage wall clock exists.  Each
-  // worker banked its busy time per stage into its own clock slot; the
-  // serial merge here is the per-stage time (racing threads never touch
-  // StageStats::seconds directly).  End-to-end wall goes to telemetry.
-  const double wall = timer.seconds();
-  for (const WorkerClock& c : clocks) {
-    out.ssv.seconds += c.stage_s[static_cast<int>(obs::Stage::kSsv)];
-    out.msv.seconds += c.stage_s[static_cast<int>(obs::Stage::kMsv)];
-    out.vit.seconds += c.stage_s[static_cast<int>(obs::Stage::kVit)];
-    out.fwd.seconds += c.stage_s[static_cast<int>(obs::Stage::kFwd)];
-    out.bwd.seconds += c.stage_s[static_cast<int>(obs::Stage::kBwd)];
-  }
-
-  if (rec) {
-    out.telemetry = make_telemetry("cpu_overlapped", src, crew, out, wall,
-                                   thr_.use_ssv_prefilter,
-                                   thr_.define_domains);
-    // StageStats::seconds already hold the per-thread merge; the stages
-    // have no individual wall clock, so zero those out.
-    for (auto& st : out.telemetry->stages) st.wall_seconds = 0.0;
-    merge_busy_from_clocks(*out.telemetry, crew, clocks.data());
-
-    const auto qs = queue.stats();
-    obs::QueueTelemetry qt;
-    qt.capacity = queue.capacity();
-    qt.enqueued = qs.pushes;
-    qt.dequeued = qs.pops;
-    qt.enqueue_stalls = qs.push_failures;
-    qt.max_depth = qs.max_depth;
-    for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
-    out.telemetry->queue = qt;
-
-    fill_buckets(*out.telemetry, sched);
-    fill_threads(*out.telemetry, crew, clocks.data(), scanner, rec);
-  }
-  return out;
-}
-
-HmmSearch::CoalescedScan HmmSearch::run_cpu_coalesced(
-    const std::vector<const HmmSearch*>& searches, ScanSource src,
-    ThreadPool& pool, const ScanSchedule* schedule, obs::Recorder* rec) {
-  FH_REQUIRE(!searches.empty(), "coalesced scan needs at least one query");
-  for (const HmmSearch* hs : searches)
-    FH_REQUIRE(hs != nullptr, "coalesced scan given a null query");
+  // Serial stats replay and hit assembly: output identical to run_cpu
+  // regardless of which worker scored what, when.  Cells are integers
+  // below 2^53, so summing them in any order gives run_cpu's exact
+  // doubles, and sort_hits orders each hit list by a total order.
   CoalescedScan out;
-  const std::size_t k = searches.size();
-  const std::size_t n = src.size();
-  const std::size_t crew = pool.workers();
   out.per_model.resize(k);
-  if (rec != nullptr && rec->enabled())
-    rec->reserve_threads(crew);
-  else
-    rec = nullptr;
-  Timer total;
-
-  ScanSchedule local;
-  if (schedule == nullptr) {
-    local = make_length_schedule(
-        n, [&src](std::size_t i) { return src.length(i); });
-    schedule = &local;
+  std::size_t rescored = 0;
+  for (Worker& me : workers) {
+    rescored += me.found.size();
+    for (const Survivor& v : me.found) {
+      const HmmSearch& hs = *searches[v.model];
+      SearchResult& res = out.per_model[v.model];
+      const double L = static_cast<double>(src.length(v.seq));
+      ++res.msv.n_passed;
+      res.vit.cells += L * hs.vit_.length();
+      if (!v.vit_pass) continue;
+      ++res.vit.n_passed;
+      res.fwd.cells += L * hs.prof_.length();
+    }
+    for (Reported& r : me.hits) {
+      const HmmSearch& hs = *searches[r.model];
+      SearchResult& res = out.per_model[r.model];
+      if (hs.thr_.define_domains) {
+        res.bwd.n_in += 1;
+        res.bwd.n_passed += 1;
+        res.bwd.cells +=
+            static_cast<double>(src.length(r.hit.seq_index)) *
+            hs.prof_.length();
+      }
+      r.hit.name = std::string(src.name(r.hit.seq_index));
+      res.hits.push_back(std::move(r.hit));
+    }
   }
+  FINEHMM_CHECK(rescored == qs.pushes, "every survivor rescored once");
 
-  // Per-query scanners: model parameters are immutable and shared across
-  // the crew; only DP state is per worker.  The sweep below allocates
-  // nothing per sequence.
-  std::vector<std::unique_ptr<BatchScanner>> scanners;
-  scanners.reserve(k);
-  for (const HmmSearch* hs : searches)
-    scanners.push_back(
-        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, nullptr, crew));
-
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  std::vector<std::vector<std::uint8_t>> ssv_keep(
-      k, std::vector<std::uint8_t>(n, 1));
-  std::vector<std::vector<std::uint8_t>> msv_keep(
-      k, std::vector<std::uint8_t>(n, 0));
-
-  // ---- The shared sweep: one pass over the residue stream, every query
-  // scored against each sequence while it is hot in cache.  Per query the
-  // fused SSV/MSV decisions are exactly run_cpu's, so the replay below
-  // reproduces its hit lists bit for bit.
-  Timer stage_timer;
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "coalesced.msv.chunk");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = schedule->order[idx];
-          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            for (std::size_t m = 0; m < k; ++m)
-              if (searches[m]->thr_.use_ssv_prefilter) ssv_keep[m][s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          for (std::size_t m = 0; m < k; ++m) {
-            const HmmSearch& hs = *searches[m];
-            BatchScanner& scanner = *scanners[m];
-            if (hs.thr_.use_ssv_prefilter) {
-              auto sr = ssv_score(scanner, worker, src, s, L);
-              float sbits =
-                  sr.overflowed
-                      ? overflow_bits(hs.msv_, static_cast<int>(L))
-                      : hmm::nats_to_bits(sr.score_nats,
-                                          static_cast<int>(L));
-              if (!sr.overflowed &&
-                  hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                ssv_keep[m][s] = 0;
-                continue;
-              }
-            }
-            auto r = msv_score(scanner, worker, src, s, L);
-            float bits = r.overflowed
-                             ? overflow_bits(hs.msv_, static_cast<int>(L))
-                             : hmm::nats_to_bits(r.score_nats,
-                                                 static_cast<int>(L));
-            msv_keep[m][s] =
-                (r.overflowed || hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                    ? 1
-                    : 0;
-          }
-        }
-      });
-  const double msv_wall = stage_timer.seconds();
-
-  // ---- Per-query tail: serial replay in index order, then the word
-  // stages over the rare survivors (identical to run_cpu_parallel).
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  double vit_wall_sum = 0.0;
+  double busy[obs::kStageCount] = {};
+  for (const WorkerClock& c : clocks)
+    for (int st = 0; st < obs::kStageCount; ++st) busy[st] += c.stage_s[st];
+  const auto busy_of = [&](obs::Stage st) {
+    return busy[static_cast<int>(st)];
+  };
+  const double residues = static_cast<double>(src.total_residues());
+  SearchResult sum;  // batch totals for the telemetry snapshot
+  const auto add_counts = [](StageStats& to, const StageStats& from) {
+    to.n_in += from.n_in;
+    to.n_passed += from.n_passed;
+    to.cells += from.cells;
+  };
+  bool any_ssv = false, any_domains = false;
   for (std::size_t m = 0; m < k; ++m) {
     const HmmSearch& hs = *searches[m];
-    BatchScanner& scanner = *scanners[m];
     SearchResult& res = out.per_model[m];
-
     res.msv.n_in = n;
-    std::vector<std::size_t> msv_pass;
-    for (std::size_t s = 0; s < n; ++s) {
-      double cells = static_cast<double>(src.length(s)) * hs.msv_.length();
-      if (hs.thr_.use_ssv_prefilter) {
-        res.ssv.n_in += 1;
-        res.ssv.cells += cells;
-        if (!ssv_keep[m][s]) continue;
-        res.ssv.n_passed += 1;
+    res.msv.cells = residues * hs.msv_.length();
+    if (hs.thr_.use_ssv_prefilter) {
+      any_ssv = true;
+      res.ssv.n_in = n;
+      res.ssv.cells = res.msv.cells;
+      std::uint64_t passed_residues = 0;
+      for (const Worker& me : workers) {
+        res.ssv.n_passed += me.tally[m].passed;
+        passed_residues += me.tally[m].residues;
       }
-      res.msv.cells += cells;
-      if (msv_keep[m][s]) msv_pass.push_back(s);
+      res.msv.n_in = res.ssv.n_passed;
+      res.msv.cells = static_cast<double>(passed_residues) * hs.msv_.length();
+      res.ssv.seconds = busy_of(obs::Stage::kSsv);
     }
-    if (hs.thr_.use_ssv_prefilter) res.msv.n_in = res.ssv.n_passed;
-    res.msv.n_passed = msv_pass.size();
-    // One pass served every query: the sweep wall clock is shared, not
-    // additive across queries.
-    res.msv.seconds = msv_wall;
-
-    Timer vit_timer;
-    res.vit.n_in = msv_pass.size();
-    std::vector<float> vit_bits_all(msv_pass.size());
-    std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-    pool.parallel_for_chunked(
-        msv_pass.size(), kVitChunk,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          OBS_SPAN(rec, worker, "coalesced.vit.chunk");
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t s = msv_pass[i];
-            const std::size_t L = src.length(s);
-            const std::uint8_t* codes =
-                src.fetch_codes(s, scratch[worker].data());
-            auto r = scanner.vit(worker, codes, L);
-            float bits = hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
-            vit_bits_all[i] = bits;
-            vit_keep[i] =
-                hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p ? 1 : 0;
-          }
-        });
-    std::vector<std::size_t> vit_pass;
-    std::vector<float> vit_bits_pass;
-    for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      res.vit.cells +=
-          static_cast<double>(src.length(msv_pass[i])) * hs.vit_.length();
-      if (vit_keep[i]) {
-        vit_pass.push_back(msv_pass[i]);
-        vit_bits_pass.push_back(vit_bits_all[i]);
-      }
+    res.vit.n_in = res.msv.n_passed;
+    res.fwd.n_in = res.vit.n_passed;
+    res.fwd.n_passed = res.hits.size();
+    sort_hits(res.hits);
+    res.msv.seconds = busy_of(obs::Stage::kMsv);
+    res.vit.seconds = busy_of(obs::Stage::kVit);
+    res.fwd.seconds = busy_of(obs::Stage::kFwd);
+    if (hs.thr_.define_domains) {
+      any_domains = true;
+      res.bwd.seconds = busy_of(obs::Stage::kBwd);
     }
-    res.vit.n_passed = vit_pass.size();
-    res.vit.seconds = vit_timer.seconds();
-    vit_wall_sum += res.vit.seconds;
-
-    hs.forward_stage(src, vit_pass, vit_bits_pass, res);
+    add_counts(sum.ssv, res.ssv);
+    add_counts(sum.msv, res.msv);
+    add_counts(sum.vit, res.vit);
+    add_counts(sum.fwd, res.fwd);
+    add_counts(sum.bwd, res.bwd);
   }
 
-  // ---- Batch-level telemetry: aggregated stage totals plus the
-  // coalescing counters the daemon's STATS verb surfaces.
+  // ---- Batch telemetry: aggregated stage totals with the merged busy
+  // time (stages overlap, so none has a wall clock of its own).
+  sum.ssv.seconds = busy_of(obs::Stage::kSsv);
+  sum.msv.seconds = busy_of(obs::Stage::kMsv);
+  sum.vit.seconds = busy_of(obs::Stage::kVit);
+  sum.fwd.seconds = busy_of(obs::Stage::kFwd);
+  sum.bwd.seconds = busy_of(obs::Stage::kBwd);
   obs::ScanTelemetry& t = out.telemetry;
-  t.engine = "cpu_coalesced";
-  t.threads = crew;
-  t.sequences = n;
-  t.residues = src.total_residues();
-  t.wall_seconds = total.seconds();
-  t.zero_copy = src.zero_copy();
-  if (src.zero_copy())
-    t.mapped_bytes = packed_stream_bytes(src);
-  else
-    t.heap_bytes = src.total_residues();
-  bool any_ssv = false;
-  for (const HmmSearch* hs : searches)
-    any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
-  auto aggregate = [&](const char* name, auto pick, double wall) {
-    obs::StageTelemetry st;
-    st.stage = name;
-    for (const SearchResult& r : out.per_model) {
-      const StageStats& s = pick(r);
-      st.n_in += s.n_in;
-      st.n_passed += s.n_passed;
-      st.cells += s.cells;
-    }
-    st.wall_seconds = wall;
-    st.busy_seconds = wall;
-    t.stages.push_back(std::move(st));
-  };
-  if (any_ssv)
-    aggregate("ssv", [](const SearchResult& r) -> const StageStats& {
-      return r.ssv;
-    }, msv_wall);
-  aggregate("msv", [](const SearchResult& r) -> const StageStats& {
-    return r.msv;
-  }, msv_wall);
-  aggregate("vit", [](const SearchResult& r) -> const StageStats& {
-    return r.vit;
-  }, vit_wall_sum);
-  double fwd_wall = 0.0;
-  for (const SearchResult& r : out.per_model) fwd_wall += r.fwd.seconds;
-  aggregate("fwd", [](const SearchResult& r) -> const StageStats& {
-    return r.fwd;
-  }, fwd_wall);
-  bool any_domains = false;
-  for (const HmmSearch* hs : searches)
-    any_domains = any_domains || hs->thr_.define_domains;
-  if (any_domains) {
-    double bwd_wall = 0.0;
-    for (const SearchResult& r : out.per_model) bwd_wall += r.bwd.seconds;
-    aggregate("bwd", [](const SearchResult& r) -> const StageStats& {
-      return r.bwd;
-    }, bwd_wall);
+  t = make_telemetry(engine, src, crew, sum, total.seconds(), any_ssv,
+                     any_domains);
+  for (auto& st : t.stages) {
+    st.wall_seconds = 0.0;
+    if (st.stage != "msv") continue;
+    st.counters.emplace_back("batch.queries", static_cast<double>(k));
+    st.counters.emplace_back("batch.sweeps", 1.0);
+    if (plan == nullptr) continue;
+    st.counters.emplace_back("fuse.groups",
+                             static_cast<double>(plan->groups.size()));
+    st.counters.emplace_back("fuse.fused_models",
+                             static_cast<double>(plan->fused_models()));
+    st.counters.emplace_back("fuse.models_per_group",
+                             plan->models_per_group());
+    st.counters.emplace_back("fuse.lane_occupancy", plan->lane_occupancy());
   }
-  for (auto& st : t.stages)
-    if (st.stage == "msv") {
-      st.counters.emplace_back("batch.queries", static_cast<double>(k));
-      st.counters.emplace_back("batch.sweeps", 1.0);
-    }
-  fill_buckets(t, *schedule);
-  t.per_thread.resize(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    obs::ThreadTelemetry& row = t.per_thread[w];
-    row.thread = static_cast<std::uint32_t>(w);
-    for (const auto& scanner : scanners) {
-      const auto& load = scanner->load(w);
-      row.sequences_scored += load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] += load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] += load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] += load.vit_calls;
-    }
-  }
-  return out;
-}
-
-HmmSearch::CoalescedScan HmmSearch::run_cpu_fused(
-    const std::vector<const HmmSearch*>& searches, ScanSource src,
-    ThreadPool& pool, const hmm::FusePlan* plan, obs::Recorder* rec) {
-  FH_REQUIRE(!searches.empty(), "fused scan needs at least one model");
-  for (const HmmSearch* hs : searches)
-    FH_REQUIRE(hs != nullptr, "fused scan given a null model");
-  CoalescedScan out;
-  const std::size_t k = searches.size();
-  const std::size_t n = src.size();
-  const std::size_t crew = pool.workers();
-  out.per_model.resize(k);
-  if (rec != nullptr && rec->enabled())
-    rec->reserve_threads(crew);
-  else
-    rec = nullptr;
-  Timer total;
-
-  // Resolve the group plan at the tier the byte filters will actually run.
-  const cpu::SimdTier tier = cpu::resolve_simd_tier(cpu::active_simd_tier());
-  const int lane_width = cpu::backend::tier_kernels(tier).u8_lanes;
-  hmm::FusePlan local_plan;
-  if (plan == nullptr) {
-    std::vector<int> lengths(k);
-    for (std::size_t m = 0; m < k; ++m)
-      lengths[m] = searches[m]->msv_.length();
-    local_plan = hmm::plan_model_groups(lengths, lane_width,
-                                        hmm::fuse_options_from_env());
-    plan = &local_plan;
-  }
-  FH_REQUIRE(plan->lane_width == lane_width,
-             "fuse plan built for a different lane width");
-  {
-    // Every model index must appear exactly once across groups + unfused.
-    std::vector<std::uint8_t> seen(k, 0);
-    auto mark = [&](std::size_t idx) {
-      FH_REQUIRE(idx < k && !seen[idx],
-                 "fuse plan does not cover the model list exactly once");
-      seen[idx] = 1;
-    };
-    for (const hmm::GroupShape& g : plan->groups)
-      for (std::size_t idx : g.members) mark(idx);
-    for (std::size_t idx : plan->unfused) mark(idx);
-    for (std::size_t m = 0; m < k; ++m)
-      FH_REQUIRE(seen[m], "fuse plan misses a model");
-  }
-
-  ScanSchedule local = make_length_schedule(
-      n, [&src](std::size_t i) { return src.length(i); });
-  const ScanSchedule* schedule = &local;
-
-  // Per-model scanners still exist for every model: the word stages and
-  // the unfused byte filters run through them exactly as in the
-  // coalesced engine; only grouped models' SSV/MSV route through the
-  // shared fused tables below.
-  std::vector<std::unique_ptr<BatchScanner>> scanners;
-  scanners.reserve(k);
-  for (const HmmSearch* hs : searches)
-    scanners.push_back(
-        std::make_unique<BatchScanner>(hs->msv_, hs->vit_, nullptr, crew));
-
-  // Shared group tables (read-only across the crew) + per-worker filters.
-  std::vector<std::unique_ptr<cpu::FusedMsvGroup>> groups;
-  std::vector<std::vector<std::unique_ptr<cpu::FusedMsvFilter>>> gworkers;
-  std::vector<std::uint8_t> group_has_ssv;
-  std::size_t max_group = 0;
-  groups.reserve(plan->groups.size());
-  gworkers.reserve(plan->groups.size());
-  for (const hmm::GroupShape& shape : plan->groups) {
-    std::vector<const profile::MsvProfile*> members;
-    members.reserve(shape.members.size());
-    bool has_ssv = false;
-    for (std::size_t idx : shape.members) {
-      members.push_back(&searches[idx]->msv_);
-      has_ssv = has_ssv || searches[idx]->thr_.use_ssv_prefilter;
-    }
-    max_group = std::max(max_group, shape.members.size());
-    groups.push_back(std::make_unique<cpu::FusedMsvGroup>(
-        std::move(members), lane_width, shape.Q));
-    group_has_ssv.push_back(has_ssv ? 1 : 0);
-    std::vector<std::unique_ptr<cpu::FusedMsvFilter>> ws;
-    ws.reserve(crew);
-    for (std::size_t w = 0; w < crew; ++w)
-      ws.push_back(std::make_unique<cpu::FusedMsvFilter>(*groups.back(),
-                                                         tier));
-    gworkers.push_back(std::move(ws));
-  }
-  std::vector<std::vector<cpu::FilterResult>> ssv_buf(crew);
-  std::vector<std::vector<cpu::FilterResult>> msv_buf(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    ssv_buf[w].resize(max_group);
-    msv_buf[w].resize(max_group);
-  }
-
-  constexpr std::size_t kMsvChunk = 16;
-  constexpr std::size_t kVitChunk = 4;
-  std::vector<std::vector<std::uint8_t>> ssv_keep(
-      k, std::vector<std::uint8_t>(n, 1));
-  std::vector<std::vector<std::uint8_t>> msv_keep(
-      k, std::vector<std::uint8_t>(n, 0));
-
-  // ---- The fused sweep: one pass over the residue stream; each group's
-  // members are scored together by one sweep per sequence, unfused models
-  // fall back to their own scanners.  The gate formulas are exactly
-  // run_cpu's, so the replay below reproduces its hit lists bit for bit.
-  Timer stage_timer;
-  pool.parallel_for_chunked(
-      n, kMsvChunk,
-      [&](std::size_t worker, std::size_t begin, std::size_t end) {
-        OBS_SPAN(rec, worker, "fused.msv.chunk");
-        for (std::size_t idx = begin; idx < end; ++idx) {
-          const std::size_t s = schedule->order[idx];
-          if (idx + 1 < end) src.prefetch(schedule->order[idx + 1]);
-          const std::size_t L = src.length(s);
-          if (L == 0) {
-            for (std::size_t m = 0; m < k; ++m)
-              if (searches[m]->thr_.use_ssv_prefilter) ssv_keep[m][s] = 0;
-            continue;  // msv_keep stays 0: fails the first active stage
-          }
-          for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-            const hmm::GroupShape& shape = plan->groups[gi];
-            cpu::FusedMsvFilter& gf = *gworkers[gi][worker];
-            bool need_msv = !group_has_ssv[gi];
-            if (group_has_ssv[gi]) {
-              cpu::FilterResult* sres = ssv_buf[worker].data();
-              if (src.zero_copy())
-                gf.ssv(src.packed(s), L, sres);
-              else
-                gf.ssv(src.codes(s), L, sres);
-              for (std::size_t mi = 0; mi < shape.members.size(); ++mi) {
-                const std::size_t m = shape.members[mi];
-                const HmmSearch& hs = *searches[m];
-                if (!hs.thr_.use_ssv_prefilter) {
-                  need_msv = true;
-                  continue;
-                }
-                const cpu::FilterResult sr = sres[mi];
-                float sbits =
-                    sr.overflowed
-                        ? overflow_bits(hs.msv_, static_cast<int>(L))
-                        : hmm::nats_to_bits(sr.score_nats,
-                                            static_cast<int>(L));
-                if (!sr.overflowed &&
-                    hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                  ssv_keep[m][s] = 0;
-                } else {
-                  need_msv = true;
-                }
-              }
-            }
-            if (!need_msv) continue;  // every member shed by SSV
-            cpu::FilterResult* mres = msv_buf[worker].data();
-            if (src.zero_copy())
-              gf.msv(src.packed(s), L, mres);
-            else
-              gf.msv(src.codes(s), L, mres);
-            for (std::size_t mi = 0; mi < shape.members.size(); ++mi) {
-              const std::size_t m = shape.members[mi];
-              const HmmSearch& hs = *searches[m];
-              if (hs.thr_.use_ssv_prefilter && !ssv_keep[m][s]) continue;
-              const cpu::FilterResult r = mres[mi];
-              float bits = r.overflowed
-                               ? overflow_bits(hs.msv_, static_cast<int>(L))
-                               : hmm::nats_to_bits(r.score_nats,
-                                                   static_cast<int>(L));
-              msv_keep[m][s] = (r.overflowed ||
-                                hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                                   ? 1
-                                   : 0;
-            }
-          }
-          for (std::size_t m : plan->unfused) {
-            const HmmSearch& hs = *searches[m];
-            BatchScanner& scanner = *scanners[m];
-            if (hs.thr_.use_ssv_prefilter) {
-              auto sr = ssv_score(scanner, worker, src, s, L);
-              float sbits =
-                  sr.overflowed
-                      ? overflow_bits(hs.msv_, static_cast<int>(L))
-                      : hmm::nats_to_bits(sr.score_nats,
-                                          static_cast<int>(L));
-              if (!sr.overflowed &&
-                  hs.stats_.ssv_pvalue(sbits) > hs.thr_.ssv_p) {
-                ssv_keep[m][s] = 0;
-                continue;
-              }
-            }
-            auto r = msv_score(scanner, worker, src, s, L);
-            float bits = r.overflowed
-                             ? overflow_bits(hs.msv_, static_cast<int>(L))
-                             : hmm::nats_to_bits(r.score_nats,
-                                                 static_cast<int>(L));
-            msv_keep[m][s] =
-                (r.overflowed || hs.stats_.msv_pvalue(bits) <= hs.thr_.msv_p)
-                    ? 1
-                    : 0;
-          }
-        }
-      });
-  const double msv_wall = stage_timer.seconds();
-
-  // ---- Per-model tail: serial replay in index order, then the word
-  // stages over the rare survivors (identical to run_cpu_coalesced).
-  std::vector<std::vector<std::uint8_t>> scratch(crew);
-  if (src.zero_copy())
-    for (auto& sc : scratch) sc.resize(src.max_length());
-  double vit_wall_sum = 0.0;
-  for (std::size_t m = 0; m < k; ++m) {
-    const HmmSearch& hs = *searches[m];
-    BatchScanner& scanner = *scanners[m];
-    SearchResult& res = out.per_model[m];
-
-    res.msv.n_in = n;
-    std::vector<std::size_t> msv_pass;
-    for (std::size_t s = 0; s < n; ++s) {
-      double cells = static_cast<double>(src.length(s)) * hs.msv_.length();
-      if (hs.thr_.use_ssv_prefilter) {
-        res.ssv.n_in += 1;
-        res.ssv.cells += cells;
-        if (!ssv_keep[m][s]) continue;
-        res.ssv.n_passed += 1;
-      }
-      res.msv.cells += cells;
-      if (msv_keep[m][s]) msv_pass.push_back(s);
-    }
-    if (hs.thr_.use_ssv_prefilter) res.msv.n_in = res.ssv.n_passed;
-    res.msv.n_passed = msv_pass.size();
-    // One sweep served every model: the wall clock is shared, not
-    // additive across models.
-    res.msv.seconds = msv_wall;
-
-    Timer vit_timer;
-    res.vit.n_in = msv_pass.size();
-    std::vector<float> vit_bits_all(msv_pass.size());
-    std::vector<std::uint8_t> vit_keep(msv_pass.size(), 0);
-    pool.parallel_for_chunked(
-        msv_pass.size(), kVitChunk,
-        [&](std::size_t worker, std::size_t begin, std::size_t end) {
-          OBS_SPAN(rec, worker, "fused.vit.chunk");
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::size_t s = msv_pass[i];
-            const std::size_t L = src.length(s);
-            const std::uint8_t* codes =
-                src.fetch_codes(s, scratch[worker].data());
-            auto r = scanner.vit(worker, codes, L);
-            float bits = hmm::nats_to_bits(r.score_nats,
-                                           static_cast<int>(L));
-            vit_bits_all[i] = bits;
-            vit_keep[i] =
-                hs.stats_.vit_pvalue(bits) <= hs.thr_.vit_p ? 1 : 0;
-          }
-        });
-    std::vector<std::size_t> vit_pass;
-    std::vector<float> vit_bits_pass;
-    for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      res.vit.cells +=
-          static_cast<double>(src.length(msv_pass[i])) * hs.vit_.length();
-      if (vit_keep[i]) {
-        vit_pass.push_back(msv_pass[i]);
-        vit_bits_pass.push_back(vit_bits_all[i]);
-      }
-    }
-    res.vit.n_passed = vit_pass.size();
-    res.vit.seconds = vit_timer.seconds();
-    vit_wall_sum += res.vit.seconds;
-
-    hs.forward_stage(src, vit_pass, vit_bits_pass, res);
-  }
-
-  // ---- Batch-level telemetry: aggregated stage totals plus the lane
-  // occupancy counters the daemon's STATS verb surfaces.
-  obs::ScanTelemetry& t = out.telemetry;
-  t.engine = "cpu_fused";
-  t.threads = crew;
-  t.sequences = n;
-  t.residues = src.total_residues();
-  t.wall_seconds = total.seconds();
-  t.zero_copy = src.zero_copy();
-  if (src.zero_copy())
-    t.mapped_bytes = packed_stream_bytes(src);
-  else
-    t.heap_bytes = src.total_residues();
-  bool any_ssv = false;
-  for (const HmmSearch* hs : searches)
-    any_ssv = any_ssv || hs->thr_.use_ssv_prefilter;
-  auto aggregate = [&](const char* name, auto pick, double wall) {
-    obs::StageTelemetry st;
-    st.stage = name;
-    for (const SearchResult& r : out.per_model) {
-      const StageStats& s = pick(r);
-      st.n_in += s.n_in;
-      st.n_passed += s.n_passed;
-      st.cells += s.cells;
-    }
-    st.wall_seconds = wall;
-    st.busy_seconds = wall;
-    t.stages.push_back(std::move(st));
-  };
-  if (any_ssv)
-    aggregate("ssv", [](const SearchResult& r) -> const StageStats& {
-      return r.ssv;
-    }, msv_wall);
-  aggregate("msv", [](const SearchResult& r) -> const StageStats& {
-    return r.msv;
-  }, msv_wall);
-  aggregate("vit", [](const SearchResult& r) -> const StageStats& {
-    return r.vit;
-  }, vit_wall_sum);
-  double fwd_wall = 0.0;
-  for (const SearchResult& r : out.per_model) fwd_wall += r.fwd.seconds;
-  aggregate("fwd", [](const SearchResult& r) -> const StageStats& {
-    return r.fwd;
-  }, fwd_wall);
-  bool any_domains = false;
-  for (const HmmSearch* hs : searches)
-    any_domains = any_domains || hs->thr_.define_domains;
-  if (any_domains) {
-    double bwd_wall = 0.0;
-    for (const SearchResult& r : out.per_model) bwd_wall += r.bwd.seconds;
-    aggregate("bwd", [](const SearchResult& r) -> const StageStats& {
-      return r.bwd;
-    }, bwd_wall);
-  }
-  for (auto& st : t.stages)
-    if (st.stage == "msv") {
-      st.counters.emplace_back("batch.queries", static_cast<double>(k));
-      st.counters.emplace_back("batch.sweeps", 1.0);
-      st.counters.emplace_back("fuse.groups",
-                               static_cast<double>(plan->groups.size()));
-      st.counters.emplace_back("fuse.fused_models",
-                               static_cast<double>(plan->fused_models()));
-      st.counters.emplace_back("fuse.models_per_group",
-                               plan->models_per_group());
-      st.counters.emplace_back("fuse.lane_occupancy",
-                               plan->lane_occupancy());
-    }
-  fill_buckets(t, *schedule);
-  t.per_thread.resize(crew);
-  for (std::size_t w = 0; w < crew; ++w) {
-    obs::ThreadTelemetry& row = t.per_thread[w];
-    row.thread = static_cast<std::uint32_t>(w);
-    for (const auto& scanner : scanners) {
-      const auto& load = scanner->load(w);
-      row.sequences_scored += load.calls();
-      row.stage_items[static_cast<int>(obs::Stage::kSsv)] += load.ssv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kMsv)] += load.msv_calls;
-      row.stage_items[static_cast<int>(obs::Stage::kVit)] += load.vit_calls;
-    }
-  }
+  obs::QueueTelemetry qt;
+  qt.capacity = queue.capacity();
+  qt.enqueued = qs.pushes;
+  qt.dequeued = qs.pops;
+  qt.enqueue_stalls = qs.push_failures;
+  qt.max_depth = qs.max_depth;
+  for (const WorkerClock& c : clocks) qt.help_first_rescues += c.rescues;
+  t.queue = qt;
+  t.buckets.reserve(schedule->bucket_sequences.size());
+  for (std::size_t b = 0; b < schedule->bucket_sequences.size(); ++b)
+    t.buckets.push_back(obs::BucketTelemetry{schedule->bucket_sequences[b],
+                                             schedule->bucket_residues[b]});
+  std::vector<const BatchScanner*> loads;
+  for (const auto& scanner : scanners) loads.push_back(scanner.get());
+  fill_threads(t, crew, clocks.data(), loads, rec);
   return out;
 }
 
@@ -1388,14 +843,10 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
       st.counters = obs::counters_kv(ssv_run.counters);
       gpu_t.stages.push_back(std::move(st));
     }
-    for (std::size_t s = 0; s < db.size(); ++s) {
-      int L = static_cast<int>(db[s].length());
-      bool overflowed = ssv_run.overflow[s] != 0;
-      float bits = overflowed ? overflow_bits(msv_, L)
-                              : hmm::nats_to_bits(ssv_run.scores[s], L);
-      if (overflowed || stats_.ssv_pvalue(bits) <= thr_.ssv_p)
+    for (std::size_t s = 0; s < db.size(); ++s)
+      if (ssv_gate({ssv_run.scores[s], ssv_run.overflow[s] != 0},
+                   db[s].length()))
         candidates.push_back(s);
-    }
     out.ssv.n_passed = candidates.size();
     out.ssv.cells = static_cast<double>(ssv_run.counters.cells);
     out.ssv.seconds = timer.seconds();
@@ -1416,14 +867,15 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
     gpu_t.stages.push_back(std::move(st));
   }
   std::vector<std::size_t> msv_pass;
+  std::vector<float> msv_bits;
   for (std::size_t i = 0; i < msv_run.scores.size(); ++i) {
-    std::size_t s = msv_items ? candidates[i] : i;
-    int L = static_cast<int>(db[s].length());
-    bool overflowed = msv_run.overflow[i] != 0;
-    float bits = overflowed ? overflow_bits(msv_, L)
-                            : hmm::nats_to_bits(msv_run.scores[i], L);
-    if (overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p)
+    const std::size_t s = msv_items ? candidates[i] : i;
+    float bits = 0.0f;
+    if (msv_gate({msv_run.scores[i], msv_run.overflow[i] != 0},
+                 db[s].length(), bits)) {
       msv_pass.push_back(s);
+      msv_bits.push_back(bits);
+    }
   }
   out.msv.n_passed = msv_pass.size();
   out.msv.cells = static_cast<double>(msv_run.counters.cells);
@@ -1433,8 +885,7 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
   // ---- Stage 2: warp-synchronous P7Viterbi on the survivors ----
   timer.reset();
   out.vit.n_in = msv_pass.size();
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
+  std::vector<Hit> vit_pass;
   if (!msv_pass.empty()) {
     auto vit_run = [&] {
       OBS_SPAN(rec, 0, "gpu.vit");
@@ -1447,13 +898,11 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
       gpu_t.stages.push_back(std::move(st));
     }
     for (std::size_t i = 0; i < msv_pass.size(); ++i) {
-      std::size_t s = msv_pass[i];
-      int L = static_cast<int>(db[s].length());
-      float bits = hmm::nats_to_bits(vit_run.scores[i], L);
-      if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
-        vit_pass.push_back(s);
-        vit_bits_pass.push_back(bits);
-      }
+      Hit h;
+      h.seq_index = msv_pass[i];
+      h.msv_bits = msv_bits[i];
+      if (vit_gate(vit_run.scores[i], db[h.seq_index].length(), h.vit_bits))
+        vit_pass.push_back(std::move(h));
     }
     out.vit.cells = static_cast<double>(vit_run.counters.cells);
     out.gpu_vit = std::move(vit_run);
@@ -1461,7 +910,7 @@ SearchResult HmmSearch::run_gpu_impl(const simt::DeviceSpec& dev,
   out.vit.n_passed = vit_pass.size();
   out.vit.seconds = timer.seconds();
 
-  forward_stage(db, vit_pass, vit_bits_pass, out);
+  forward_stage(db, std::move(vit_pass), out);
 
   if (rec) {
     out.telemetry = make_telemetry("gpu_sim", db, 1, out, total.seconds(),
@@ -1490,13 +939,14 @@ HmmSearch::MultiGpuResult HmmSearch::run_gpu_multi(
   combined.msv.n_in = db.size();
   auto msv_multi = gpu::run_msv_multi(devs, msv_, packed, placement);
   std::vector<std::size_t> msv_pass;
+  std::vector<float> msv_bits;
   for (std::size_t s = 0; s < db.size(); ++s) {
-    int L = static_cast<int>(db[s].length());
-    bool overflowed = msv_multi.overflow[s] != 0;
-    float bits = overflowed ? overflow_bits(msv_, L)
-                            : hmm::nats_to_bits(msv_multi.scores[s], L);
-    if (overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p)
+    float bits = 0.0f;
+    if (msv_gate({msv_multi.scores[s], msv_multi.overflow[s] != 0},
+                 db[s].length(), bits)) {
       msv_pass.push_back(s);
+      msv_bits.push_back(bits);
+    }
   }
   combined.msv.n_passed = msv_pass.size();
   for (auto& r : msv_multi.per_device) {
@@ -1508,53 +958,41 @@ HmmSearch::MultiGpuResult HmmSearch::run_gpu_multi(
   // ---- Stage 2: P7Viterbi, survivors re-partitioned round-robin ----
   timer.reset();
   combined.vit.n_in = msv_pass.size();
-  std::vector<std::size_t> vit_pass;
-  std::vector<float> vit_bits_pass;
+  std::vector<Hit> vit_pass;
   if (!msv_pass.empty()) {
-    std::vector<std::vector<std::size_t>> parts(devs.size());
+    const std::size_t n_dev = devs.size();
+    std::vector<std::vector<std::size_t>> parts(n_dev);
     for (std::size_t i = 0; i < msv_pass.size(); ++i)
-      parts[i % devs.size()].push_back(msv_pass[i]);
-    for (std::size_t d = 0; d < devs.size(); ++d) {
+      parts[i % n_dev].push_back(msv_pass[i]);
+    for (std::size_t d = 0; d < n_dev; ++d) {
       if (parts[d].empty()) continue;
       gpu::GpuSearch search(devs[d]);
       auto run = search.run_vit(vit_, packed, placement, &parts[d]);
-      for (std::size_t i = 0; i < parts[d].size(); ++i) {
-        std::size_t s = parts[d][i];
-        int L = static_cast<int>(db[s].length());
-        float bits = hmm::nats_to_bits(run.scores[i], L);
-        if (stats_.vit_pvalue(bits) <= thr_.vit_p) {
-          vit_pass.push_back(s);
-          vit_bits_pass.push_back(bits);
-        }
+      for (std::size_t j = 0; j < parts[d].size(); ++j) {
+        Hit h;
+        h.seq_index = parts[d][j];
+        // parts[d][j] is msv_pass[j * n_dev + d].
+        h.msv_bits = msv_bits[j * n_dev + d];
+        if (vit_gate(run.scores[j], db[h.seq_index].length(), h.vit_bits))
+          vit_pass.push_back(std::move(h));
       }
       combined.vit.cells += static_cast<double>(run.counters.cells);
       out.vit_per_device.push_back(std::move(run));
     }
     // Keep deterministic ordering for downstream reporting.
-    std::vector<std::size_t> order(vit_pass.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return vit_pass[a] < vit_pass[b];
-    });
-    std::vector<std::size_t> sorted_pass;
-    std::vector<float> sorted_bits;
-    for (auto idx : order) {
-      sorted_pass.push_back(vit_pass[idx]);
-      sorted_bits.push_back(vit_bits_pass[idx]);
-    }
-    vit_pass.swap(sorted_pass);
-    vit_bits_pass.swap(sorted_bits);
+    std::sort(vit_pass.begin(), vit_pass.end(),
+              [](const Hit& a, const Hit& b) {
+                return a.seq_index < b.seq_index;
+              });
   }
   combined.vit.n_passed = vit_pass.size();
   combined.vit.seconds = timer.seconds();
 
-  forward_stage(db, vit_pass, vit_bits_pass, combined);
+  forward_stage(db, std::move(vit_pass), combined);
   return out;
 }
 
-void HmmSearch::forward_stage(ScanSource src,
-                              const std::vector<std::size_t>& survivors,
-                              const std::vector<float>& vit_bits,
+void HmmSearch::forward_stage(ScanSource src, std::vector<Hit> survivors,
                               SearchResult& out) const {
   obs::Recorder* rec =
       (recorder_ != nullptr && recorder_->enabled()) ? recorder_ : nullptr;
@@ -1562,65 +1000,29 @@ void HmmSearch::forward_stage(ScanSource src,
   OBS_SPAN(rec, 0, "fwd");
   Timer timer;
   out.fwd.n_in = survivors.size();
-  const bool need_trace = thr_.null2_correction || thr_.compute_alignments;
   cpu::FwdFilter fwd_filter(fwd_);
-  cpu::TraceWorkspace ws;
-  std::vector<std::uint8_t> scratch;
-  std::vector<float> mocc;  // decode occupancy track, reused across hits
-  double bwd_seconds = 0.0;
-  if (src.zero_copy()) scratch.resize(src.max_length());
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    const std::size_t s = survivors[i];
-    const std::size_t L = src.length(s);
-    const std::uint8_t* codes = src.fetch_codes(s, scratch.data());
-    float raw = fwd_filter.score(codes, L);
+  Scratch scratch;
+  if (src.zero_copy()) scratch.codes.resize(src.max_length());
+  for (Hit& h : survivors) {
+    const std::size_t L = src.length(h.seq_index);
+    const std::uint8_t* codes =
+        src.fetch_codes(h.seq_index, scratch.codes.data());
     out.fwd.cells += static_cast<double>(L) * prof_.length();
-
-    cpu::ViterbiTrace trace;
-    float bias_nats = 0.0f;
-    if (need_trace) trace = cpu::viterbi_trace(prof_, codes, L, ws);
-    if (thr_.null2_correction)
-      bias_nats = null2_correction(prof_, trace, codes);
-
-    float bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
-    double p = stats_.fwd_pvalue(bits);
-    double e = stats::evalue(p, src.size(), thr_.z_override);
-    if (e <= thr_.report_evalue) {
-      Hit h;
-      h.seq_index = s;
-      h.name = std::string(src.name(s));
-      h.vit_bits = vit_bits[i];
-      h.fwd_bits = bits;
-      h.bias_bits = bias_nats / static_cast<float>(M_LN2);
-      h.pvalue = p;
-      h.evalue = e;
-      if (thr_.compute_alignments)
-        h.alignments = cpu::trace_alignments(trace, prof_, codes);
-      if (thr_.define_domains) {
-        // Checkpointed Forward/Backward on the active vector tier fills
-        // mocc; envelope definition and rescoring run on it directly.
-        Timer bwd_t;
-        fwd_filter.decode(codes, L, mocc);
-        h.domains = cpu::domains_from_occupancy(prof_, codes, L, mocc.data());
-        out.bwd.n_in += 1;
-        out.bwd.n_passed += 1;
-        out.bwd.cells += static_cast<double>(L) * prof_.length();
-        bwd_seconds += bwd_t.seconds();
-      }
-      out.hits.push_back(std::move(h));
-      ++out.fwd.n_passed;
+    if (!score_forward(fwd_filter, codes, L, src.size(), scratch, h))
+      continue;
+    if (thr_.define_domains) {
+      out.bwd.n_in += 1;
+      out.bwd.n_passed += 1;
+      out.bwd.cells += static_cast<double>(L) * prof_.length();
     }
+    h.name = std::string(src.name(h.seq_index));
+    out.hits.push_back(std::move(h));
+    ++out.fwd.n_passed;
   }
   // The decode share of the loop belongs to the bwd stage, not fwd.
-  out.bwd.seconds = bwd_seconds;
-  out.fwd.seconds = timer.seconds() - bwd_seconds;
-  // (evalue, seq_index) is a total order, so the hit list is a pure
-  // function of the hit set — a cluster coordinator merging shard hits
-  // re-sorts by the same key and reproduces this order byte-for-byte.
-  std::sort(out.hits.begin(), out.hits.end(), [](const Hit& a, const Hit& b) {
-    return a.evalue != b.evalue ? a.evalue < b.evalue
-                                : a.seq_index < b.seq_index;
-  });
+  out.bwd.seconds = scratch.bwd_seconds;
+  out.fwd.seconds = timer.seconds() - scratch.bwd_seconds;
+  sort_hits(out.hits);
 }
 
 }  // namespace finehmm::pipeline

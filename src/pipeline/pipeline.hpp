@@ -8,9 +8,13 @@
 // exponential-tail (Forward) statistics.  Sequences whose byte MSV
 // overflowed pass unconditionally (their score is provably huge).
 //
-// Two engines share identical semantics and thresholds:
-//   * CpuEngine — striped SSE-style filters (the paper's baseline)
-//   * GpuEngine — the warp-synchronous SIMT kernels for MSV and P7Viterbi
+// Every engine shares identical semantics and thresholds:
+//   * run_cpu — striped SIMD filters on one thread (the paper's baseline
+//     and the reference the other engines are tested against)
+//   * HmmSearch::scan — the threaded CPU core: one bucketed SSV/MSV sweep
+//     for many models (fused groups or lone models), survivors rescored
+//     by any idle worker from one global queue
+//   * run_gpu* — the warp-synchronous SIMT kernels for MSV and P7Viterbi
 //     (the Forward stage stays on the CPU, as in the paper).
 #pragma once
 
@@ -20,6 +24,8 @@
 
 #include "bio/packing.hpp"
 #include "bio/sequence.hpp"
+#include "cpu/filter_result.hpp"
+#include "cpu/fwd_filter.hpp"
 #include "cpu/posterior.hpp"
 #include "cpu/trace.hpp"
 #include "gpu/placement_policy.hpp"
@@ -67,6 +73,7 @@ struct Thresholds {
 struct Hit {
   std::size_t seq_index = 0;
   std::string name;
+  /// MSV bit score; the overflow lower bound when the byte score saturated.
   float msv_bits = 0.0f;
   float vit_bits = 0.0f;
   float fwd_bits = 0.0f;   // after the null2 correction, when enabled
@@ -85,11 +92,13 @@ struct StageStats {
   std::size_t n_in = 0;       // sequences entering the stage
   std::size_t n_passed = 0;   // sequences surviving
   double cells = 0.0;         // DP cells evaluated
-  /// Measured host time of this stage.  For the serial and
-  /// barrier-parallel engines this is the stage's wall clock; for the
-  /// overlapped engine (where stages have no wall-clock identity) it is
-  /// the per-worker busy time, accumulated into per-thread slots during
-  /// the scan and merged serially at drain — never written concurrently.
+  /// Measured host time of this stage.  For run_cpu and the GPU engines
+  /// this is the stage's wall clock.  For the threaded scan core (where
+  /// stages overlap and have no wall-clock identity) it is the per-worker
+  /// busy time, accumulated into per-thread slots during the scan and
+  /// merged serially at drain — never written concurrently.  One sweep
+  /// serves every model of a batch, so each model of a multi-model scan
+  /// reports the whole batch's merged busy time, not a share of it.
   double seconds = 0.0;
   double pass_rate() const {
     return n_in ? static_cast<double>(n_passed) / n_in : 0.0;
@@ -143,80 +152,79 @@ class HmmSearch {
   const stats::ModelStats& model_stats() const noexcept { return stats_; }
   const Thresholds& thresholds() const noexcept { return thr_; }
 
-  /// Scan with the striped CPU filters (single thread).  All CPU engines
-  /// take a ScanSource, so they accept a heap SequenceDatabase or a
-  /// zero-copy MappedSeqDb interchangeably and report identical hits.
+  /// Scan with the striped CPU filters (single thread).  This is the
+  /// straight-line reference every other engine is tested against.  All
+  /// CPU engines take a ScanSource, so they accept a heap
+  /// SequenceDatabase or a zero-copy MappedSeqDb interchangeably and
+  /// report identical hits.
   SearchResult run_cpu(ScanSource src) const;
 
-  /// Multithreaded CPU scan — the shape of HMMER 3.0's worker-thread
-  /// parallelism on the paper's quad-core baseline.  `threads` = 0 picks
-  /// hardware concurrency.  The database is scanned in length-bucketed
-  /// order (pipeline/workload.hpp) with per-index result slots, so hits
-  /// and stage stats are bit-identical to run_cpu.
+  /// The threaded CPU scan core: many models against one database in a
+  /// single pass, the paper's third parallelism tier (one global work
+  /// queue) combined with CUDAMPF++'s many-models-per-pass packing.
+  ///
+  /// Workers sweep the database in length-bucketed order
+  /// (pipeline/workload.hpp), scoring every "unit" against each sequence
+  /// while it is hot in cache: a unit is a fused group of short models
+  /// lane-packed into one shared table (cpu::FusedMsvGroup, chosen by
+  /// `plan`) or a lone model's own BatchScanner; `plan == nullptr` makes
+  /// every model a lone unit.  (model, sequence) pairs that pass SSV/MSV
+  /// go onto one bounded queue, and whichever worker is idle rescores
+  /// them (Viterbi -> Forward -> null2 -> alignments / domains); a
+  /// producer facing a full queue rescores one item itself (help-first
+  /// backpressure).  Results land in sparse per-survivor records, and one
+  /// serial replay per model rebuilds its StageStats and sorted hit list,
+  /// so hits and stage counts/cells for model i are bit-identical to
+  /// `searches[i]->run_cpu(src)`.
+  ///
+  /// `schedule` may pass a precomputed length-bucketed order for `src`
+  /// (the daemon caches one per resident database); null builds it on
+  /// the fly.  `rec` attaches span tracing.  The batch telemetry snapshot
+  /// carries `engine` as its label, aggregated stage totals, the queue,
+  /// bucket and per-thread rows, `batch.queries` / `batch.sweeps`
+  /// counters on the msv stage, and — with a plan — `fuse.groups` /
+  /// `fuse.fused_models` / `fuse.models_per_group` /
+  /// `fuse.lane_occupancy` (docs/multi_model.md).
+  struct CoalescedScan {
+    /// Index-aligned with `searches`.
+    std::vector<SearchResult> per_model;
+    obs::ScanTelemetry telemetry;
+  };
+  static CoalescedScan scan(const std::vector<const HmmSearch*>& searches,
+                            ScanSource src, ThreadPool& pool,
+                            const hmm::FusePlan* plan,
+                            const ScanSchedule* schedule, obs::Recorder* rec,
+                            const char* engine);
+
+  /// The fused-scan group plan for `searches`: hmm::plan_model_groups
+  /// over their model lengths at the active SIMD tier's byte lane width,
+  /// under the FINEHMM_FUSE policy.
+  static hmm::FusePlan fuse_plan(
+      const std::vector<const HmmSearch*>& searches);
+
+  /// The scan core with this model alone, on a pool of `threads` workers
+  /// (0 = hardware concurrency) or a caller-owned pool (so repeated scans
+  /// reuse the worker threads).  The two names select the same engine
+  /// and differ only in their telemetry label ("cpu_parallel" /
+  /// "cpu_overlapped"), attached when a recorder is set.
   SearchResult run_cpu_parallel(ScanSource src, std::size_t threads = 0) const;
-
-  /// As above but on a caller-owned pool, so repeated scans (hmmscan-style
-  /// model sweeps) reuse the worker threads instead of spawning per scan.
   SearchResult run_cpu_parallel(ScanSource src, ThreadPool& pool) const;
-
-  /// Overlapped streaming scan: workers fan the length-bucketed MSV/SSV
-  /// sweep out over the pool and push survivors onto a bounded queue that
-  /// any worker drains when idle, rescoring Viterbi -> Forward -> null2 /
-  /// posterior immediately instead of in barrier-separated stages — the
-  /// paper's third parallelism tier (global work queue) on the host.
-  /// Results land in per-index slots and the stage stats are replayed
-  /// serially, so hits and stage counts/cells stay bit-identical to
-  /// run_cpu.  Stage `seconds` are each worker's busy time per stage,
-  /// banked into per-thread slots and merged at drain (stages overlap,
-  /// so no per-stage wall clock exists; the end-to-end wall clock lands
-  /// in SearchResult::telemetry when a recorder is attached).
   SearchResult run_cpu_overlapped(ScanSource src,
                                   std::size_t threads = 0) const;
   SearchResult run_cpu_overlapped(ScanSource src, ThreadPool& pool) const;
 
-  /// One coalesced sweep: several queries scanned in a SINGLE pass over
-  /// the database.  The byte-filter stage walks the residue stream once,
-  /// scoring every query against each sequence while it is hot in cache;
-  /// the rare word-stage survivors then rescore per query.  Hits and
-  /// stage counts for query i are bit-identical to
-  /// `searches[i]->run_cpu(src)` — the same kernels score through
-  /// per-query BatchScanner state, and results replay serially in index
-  /// order.  This is the search daemon's batching primitive: N queued
-  /// client requests against the same database cost one database pass
-  /// instead of N (docs/server.md).
-  struct CoalescedScan {
-    /// Index-aligned with `searches`.  Stage `seconds` of the fused
-    /// SSV/MSV sweep are the shared sweep wall clock (one pass serves
-    /// every query), not additive per-query times.
-    std::vector<SearchResult> per_model;
-    /// One batch-level snapshot (engine "cpu_coalesced"): aggregated
-    /// stage totals plus `batch.queries` / `batch.sweeps` counters on
-    /// the msv stage, so coalescing is observable downstream.
-    obs::ScanTelemetry telemetry;
-  };
-
-  /// `schedule` may pass a precomputed length-bucketed order for `src`
-  /// (the daemon caches one per resident database); null builds it on
-  /// the fly.  `rec` attaches span tracing; the telemetry snapshot is
-  /// filled either way.
+  /// The scan core with every model a lone unit (label "cpu_coalesced"):
+  /// N queries cost one database pass instead of N.  This is the search
+  /// daemon's SEARCH batching primitive (docs/server.md).
   static CoalescedScan run_cpu_coalesced(
       const std::vector<const HmmSearch*>& searches, ScanSource src,
       ThreadPool& pool, const ScanSchedule* schedule = nullptr,
       obs::Recorder* rec = nullptr);
 
-  /// The hmmscan dual of run_cpu_coalesced: many *models* against one
-  /// database, with short models lane-packed into shared group tables
-  /// (cpu::FusedMsvGroup) so one MSV/SSV sweep scores a whole group per
-  /// sequence block instead of one model.  Hits and stage counts for
-  /// model i are bit-identical to `searches[i]->run_cpu(src)`; survivors
-  /// demux into the unchanged per-model Viterbi/Forward rescoring.
-  /// `plan` may pass a pregrouped shape (the daemon caches one per
-  /// resident library); null plans on the fly from the model-length
-  /// histogram, the resolved tier's lane width, and FINEHMM_FUSE
-  /// (hmm::plan_model_groups).  The telemetry snapshot (engine
-  /// "cpu_fused") adds `fuse.groups` / `fuse.fused_models` /
-  /// `fuse.models_per_group` / `fuse.lane_occupancy` counters on the msv
-  /// stage (docs/multi_model.md).
+  /// The scan core with short models lane-packed into fused groups
+  /// (label "cpu_fused"), the hmmscan dual of run_cpu_coalesced.  `plan`
+  /// may pass a pregrouped shape (the daemon caches one per resident
+  /// library); null plans with fuse_plan(searches).
   static CoalescedScan run_cpu_fused(
       const std::vector<const HmmSearch*>& searches, ScanSource src,
       ThreadPool& pool, const hmm::FusePlan* plan = nullptr,
@@ -257,11 +265,34 @@ class HmmSearch {
                             gpu::ParamPlacement msv_placement,
                             gpu::ParamPlacement vit_placement) const;
 
-  /// Shared post-filter logic: P7Viterbi survivors -> Forward -> hits.
-  void forward_stage(ScanSource src,
-                     const std::vector<std::size_t>& survivors,
-                     const std::vector<float>& vit_bits,
+  /// The byte-filter gates every engine applies.  `bits` receives the
+  /// filter's bit score (the overflow lower bound when the byte score
+  /// saturated); overflowed sequences always pass.
+  bool ssv_gate(cpu::FilterResult r, std::size_t L) const;
+  bool msv_gate(cpu::FilterResult r, std::size_t L, float& bits) const;
+  bool vit_gate(float score_nats, std::size_t L, float& bits) const;
+
+  /// Per-worker buffers for the word stages, allocated once per scan.
+  struct Scratch;
+
+  /// The Forward stage for one Viterbi survivor, on a filter built from
+  /// this model's profile: null2-corrected Forward bits, P- and E-value
+  /// (against `db_size` sequences), and — when the hit clears
+  /// report_evalue — alignments and domains.  Fills `h`'s scores and
+  /// returns whether it is reported; decode time is banked in
+  /// `scratch.bwd_seconds`.
+  bool score_forward(cpu::FwdFilter& fwd, const std::uint8_t* codes,
+                     std::size_t L, std::size_t db_size, Scratch& scratch,
+                     Hit& h) const;
+
+  /// Shared post-filter logic for run_cpu and the GPU engines: Viterbi
+  /// survivors (seq_index, msv_bits and vit_bits set) -> Forward -> hits.
+  void forward_stage(ScanSource src, std::vector<Hit> survivors,
                      SearchResult& out) const;
+
+  /// run_cpu_parallel / run_cpu_overlapped: the core with one lone model.
+  SearchResult scan_one(ScanSource src, ThreadPool& pool,
+                        const char* engine) const;
 
   obs::Recorder* recorder_ = nullptr;
   hmm::Plan7Hmm model_;

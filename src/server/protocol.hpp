@@ -165,8 +165,9 @@ SearchResultWire decode_search_result(const std::vector<std::uint8_t>& payload);
 
 /// The SCAN verb: score one resident database against EVERY model in the
 /// daemon's loaded .fhpdb libraries in a single fused many-model sweep
-/// (HmmSearch::run_cpu_fused; docs/multi_model.md).  Concurrent SCANs of
-/// the same database coalesce into one sweep, like SEARCHes do.  The
+/// (HmmSearch::scan with the library's fuse plan; docs/multi_model.md).
+/// Concurrent SCANs of the same database coalesce into one sweep, like
+/// SEARCHes do.  The
 /// resident library scans at the default report threshold (E = 10), so a
 /// request's evalue can only tighten the hit lists, never widen them.
 struct ScanRequest {

@@ -4,8 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "cpu/simd_backend/backend.hpp"
-#include "cpu/simd_backend/simd_tier.hpp"
 #include "obs/log.hpp"
 #include "stats/distributions.hpp"
 
@@ -536,8 +534,9 @@ void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
     pipeline::HmmSearch::CoalescedScan scan;
     const auto sweep_start = SteadyClock::now();
     try {
-      scan = pipeline::HmmSearch::run_cpu_coalesced(
-          searches, db.view(), pool_, &db.schedule, &recorder_);
+      scan = pipeline::HmmSearch::scan(searches, db.view(), pool_,
+                                       /*plan=*/nullptr, &db.schedule,
+                                       &recorder_, "cpu_coalesced");
     } catch (const Error& e) {
       {
         MutexLock lock(stats_mu_);
@@ -602,25 +601,16 @@ void SearchServer::run_scans(
   searches.reserve(scan_searches_.size());
   for (const auto& s : scan_searches_) searches.push_back(s.get());
 
-  if (!scan_plan_) {
-    // Tune once per library: the plan depends only on the model lengths
-    // and the lane width of the active SIMD tier, both fixed from here.
-    std::vector<int> lengths;
-    lengths.reserve(searches.size());
-    for (const auto* s : searches) lengths.push_back(s->profile().length());
-    const int lane_width =
-        cpu::backend::tier_kernels(
-            cpu::resolve_simd_tier(cpu::active_simd_tier()))
-            .u8_lanes;
-    scan_plan_ = hmm::plan_model_groups(lengths, lane_width,
-                                        hmm::fuse_options_from_env());
-  }
+  // Tune once per library: the plan depends only on the model lengths
+  // and the lane width of the active SIMD tier, both fixed from here.
+  if (!scan_plan_) scan_plan_ = pipeline::HmmSearch::fuse_plan(searches);
 
   pipeline::HmmSearch::CoalescedScan scan;
   const auto sweep_start = SteadyClock::now();
   try {
-    scan = pipeline::HmmSearch::run_cpu_fused(searches, db.view(), pool_,
-                                              &*scan_plan_, &recorder_);
+    scan = pipeline::HmmSearch::scan(searches, db.view(), pool_,
+                                     &*scan_plan_, &db.schedule, &recorder_,
+                                     "cpu_fused");
   } catch (const Error& e) {
     {
       MutexLock lock(stats_mu_);

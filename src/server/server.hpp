@@ -6,8 +6,8 @@
 // full cost of loading and walking the target database.  SearchServer is
 // the repo's hmmpgmd analog: it holds .fsqdb databases open (zero-copy,
 // page-cache warm), accepts requests over any Transport, and batches the
-// requests queued at any instant into ONE HmmSearch::run_cpu_coalesced
-// pass per database — N clients cost one sweep, not N (docs/server.md).
+// requests queued at any instant into ONE HmmSearch::scan pass per
+// database — N clients cost one sweep, not N (docs/server.md).
 //
 // Threading model (three tiers):
 //   * accept loop     — serve()'s calling thread; exits when the

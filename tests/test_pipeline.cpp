@@ -2,6 +2,7 @@
 // agreement, sensitivity (all planted homologs found).
 #include <gtest/gtest.h>
 
+#include "cpu/msv_scalar.hpp"
 #include "hmm/generator.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/workload.hpp"
@@ -81,6 +82,43 @@ TEST(Pipeline, GpuEngineFindsTheSameHits) {
   // Stage pass counts must agree exactly (bit-identical filters).
   EXPECT_EQ(cpu_result.msv.n_passed, gpu_result.msv.n_passed);
   EXPECT_EQ(cpu_result.vit.n_passed, gpu_result.vit.n_passed);
+}
+
+TEST(Pipeline, HitsCarryTheirMsvBitScore) {
+  PipelineFixture fx(100, 300, 0.05);
+  pipeline::Thresholds thr;
+  thr.report_evalue = 1e3;  // report background hits too
+  HmmSearch search(fx.model, thr);
+  const profile::MsvProfile& msv = search.msv_profile();
+  auto expect_msv_bits = [&](const pipeline::SearchResult& r,
+                             const char* label) {
+    SCOPED_TRACE(label);
+    ASSERT_FALSE(r.hits.empty());
+    for (const auto& h : r.hits) {
+      const auto& codes = fx.db[h.seq_index].codes;
+      const int L = static_cast<int>(codes.size());
+      const cpu::FilterResult ref =
+          cpu::msv_scalar(msv, codes.data(), codes.size());
+      // An overflowed byte score reports its conservative lower bound.
+      const float want =
+          ref.overflowed
+              ? hmm::nats_to_bits(
+                    (255.0f - msv.bias() - msv.base()) / msv.scale(), L)
+              : hmm::nats_to_bits(ref.score_nats, L);
+      EXPECT_EQ(h.msv_bits, want) << h.name;
+    }
+  };
+  const auto k40 = simt::DeviceSpec::tesla_k40();
+  expect_msv_bits(search.run_cpu(fx.db), "serial");
+  expect_msv_bits(search.run_cpu_overlapped(fx.db, 3), "threaded");
+  expect_msv_bits(
+      search.run_gpu(k40, fx.db, fx.packed, gpu::ParamPlacement::kShared),
+      "gpu");
+  expect_msv_bits(search
+                      .run_gpu_multi({k40, k40}, fx.db, fx.packed,
+                                     gpu::ParamPlacement::kShared)
+                      .combined,
+                  "multi-gpu");
 }
 
 TEST(Pipeline, GpuGlobalPlacementAgreesWithShared) {

@@ -1,5 +1,6 @@
-// The streaming-scan determinism contract: every CPU engine (serial,
-// bucketed-parallel, overlapped) over either database representation
+// The streaming-scan determinism contract: every CPU engine (serial, and
+// the threaded scan core behind the parallel, overlapped, coalesced and
+// fused entry points) over either database representation
 // (heap SequenceDatabase, zero-copy MappedSeqDb) must report bit-identical
 // hits and identical stage statistics — the scan order and the worker
 // interleaving are implementation details that may never leak into
@@ -116,6 +117,31 @@ void check_all_engines(const StreamingFixture& fx,
   // Single-worker overlapped exercises the help-first backpressure path.
   expect_bit_identical(ref, search.run_cpu_overlapped(mapped, 1),
                        "overlapped/mapped/1thread");
+
+  // The many-model entry points: the fixture's model plus two short ones,
+  // so the fuse plan packs at least one group.
+  HmmSearch short_a(hmm::paper_model(24), thr);
+  HmmSearch short_b(hmm::paper_model(40), thr);
+  const std::vector<const HmmSearch*> lib = {&search, &short_a, &short_b};
+  ASSERT_FALSE(HmmSearch::fuse_plan(lib).groups.empty());
+  std::vector<SearchResult> refs;
+  for (const HmmSearch* hs : lib) refs.push_back(hs->run_cpu(fx.db));
+  for (std::size_t threads : {1, 3}) {
+    ThreadPool pool(threads);
+    for (bool zero_copy : {false, true}) {
+      const pipeline::ScanSource src =
+          zero_copy ? pipeline::ScanSource(mapped)
+                    : pipeline::ScanSource(fx.db);
+      SCOPED_TRACE(std::string(zero_copy ? "mapped" : "heap") + "/" +
+                   std::to_string(threads) + "thread");
+      const auto coalesced = HmmSearch::run_cpu_coalesced(lib, src, pool);
+      const auto fused = HmmSearch::run_cpu_fused(lib, src, pool);
+      for (std::size_t m = 0; m < lib.size(); ++m) {
+        expect_bit_identical(refs[m], coalesced.per_model[m], "coalesced");
+        expect_bit_identical(refs[m], fused.per_model[m], "fused");
+      }
+    }
+  }
 }
 
 TEST(ScanStreaming, EnginesBitIdenticalDefaultThresholds) {
