@@ -112,20 +112,6 @@ hmm::Plan7Hmm load_query_model(const std::string& path,
   return std::move(entry.model);
 }
 
-/// Split "HOST:PORT"; false when the port part is missing or not a
-/// number in [1, 65535].
-bool parse_hostport(const std::string& arg, std::string& host,
-                    std::uint16_t& port) {
-  const std::size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size())
-    return false;
-  host = arg.substr(0, colon);
-  const long p = std::atol(arg.c_str() + colon + 1);
-  if (p < 1 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 /// Remote search against a running finehmmd.  The report renders from
 /// the wire result (db summary + stage stats + hits) through the same
 /// formatter the local path uses.
@@ -134,7 +120,7 @@ int run_remote(const std::string& hostport, std::uint32_t db_index,
                std::size_t max_hits, const std::string& tblout_path) {
   std::string host;
   std::uint16_t port = 0;
-  if (!parse_hostport(hostport, host, port)) {
+  if (!server::parse_host_port(hostport, host, port)) {
     std::fprintf(stderr, "error: --connect wants HOST:PORT, got '%s'\n",
                  hostport.c_str());
     usage();

@@ -5,7 +5,8 @@
 # Builds a demo model and a packed database with the example tools,
 # starts finehmmd on an ephemeral port (with the HTTP observability
 # endpoint on a second one), then proves the full client surface: PING,
-# a remote search whose tblout is BIT-IDENTICAL to a direct
+# 200 closed connections that leave the daemon's VmSize flat (sessions
+# are reaped), a remote search whose tblout is BIT-IDENTICAL to a direct
 # hmmsearch_tool run on the same database (reply stamped with a trace
 # id), hmmsearch_tool --connect against the daemon, the STATS verb
 # (pretty and JSON forms), /metrics + /healthz (valid Prometheus whose
@@ -59,6 +60,43 @@ print(urllib.request.urlopen(sys.argv[1], timeout=10).read().decode(), end="")' 
 
 echo "== ping =="
 "$TOOLS_DIR/finehmm_client" "$ADDR" --ping | grep -qx pong
+
+echo "== connection churn: 200 closed connections leave no threads behind =="
+# Each session thread is joined once its connection ends.  A daemon that
+# parks them until drain keeps one 8 MiB thread stack mapped per
+# connection, about 1.6 GiB of VmSize per 200 connections.  The first
+# 200 bring the daemon to its steady state: on a loaded host two session
+# threads can overlap, and glibc then reserves one more 64 MiB malloc
+# arena, once.  The next 200 must not grow VmSize.
+vm_kib() { awk '/^VmSize:/ {print $2}' "/proc/$DAEMON_PID/status"; }
+ping_200() {
+  for _ in $(seq 1 200); do
+    "$TOOLS_DIR/finehmm_client" "$ADDR" --ping > /dev/null
+  done
+}
+ping_200
+VM_BEFORE=$(vm_kib)
+ping_200
+VM_GROWTH=$(( $(vm_kib) - VM_BEFORE ))
+echo "VmSize grew by $VM_GROWTH KiB over 200 connections"
+[ "$VM_GROWTH" -le $((64 * 1024)) ] || {
+  echo "VmSize grew by more than 64 MiB: closed sessions were not reaped"
+  exit 1; }
+# The STATS probe is itself one open connection; the last ping's session
+# may still be closing, so poll briefly.
+for _ in $(seq 1 50); do
+  "$TOOLS_DIR/finehmm_client" "$ADDR" --stats-json > "$WORK/churn.json"
+  python3 - "$WORK/churn.json" <<'PY' && break
+import json, sys
+sys.exit(0 if json.load(open(sys.argv[1]))["connections_open"] <= 1 else 1)
+PY
+  sleep 0.1
+done
+python3 - "$WORK/churn.json" <<'PY'
+import json, sys
+n = json.load(open(sys.argv[1]))["connections_open"]
+assert n <= 1, f"connections_open {n} after the churn, want <= 1"
+PY
 
 echo "== remote search is bit-identical to a direct scan =="
 "$EXAMPLES_DIR/hmmsearch_tool" --tblout "$WORK/local.tbl" \

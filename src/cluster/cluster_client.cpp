@@ -12,6 +12,7 @@ namespace finehmm::cluster {
 using server::ClientStatus;
 using server::Connection;
 using server::ErrorCode;
+using server::ErrorInfo;
 using server::Frame;
 using server::MsgType;
 using server::PingInfo;
@@ -57,23 +58,8 @@ std::size_t ClusterClient::probe_all() {
       conn = nullptr;
     }
     if (conn) {
-      // The same handshake every scatter leg performs: revision is
-      // checked server-side (kVersionMismatch comes back as kError,
-      // i.e. not a kPong), role client-side.
-      if (server::send_frame(*conn, MsgType::kPing, 1,
-                             server::encode_ping(PingInfo{}))) {
-        Frame pong;
-        if (server::recv_frame(*conn, pong) == RecvStatus::kFrame &&
-            pong.type() == MsgType::kPong) {
-          try {
-            const PingInfo info = server::decode_ping(pong.payload);
-            up = info.role != server::NodeRole::kCoordinator &&
-                 (!cfg_.require_shard_role ||
-                  info.role == server::NodeRole::kShard);
-          } catch (const ProtocolError&) {
-          }
-        }
-      }
+      ErrorInfo refused;
+      up = handshake(*conn, refused) == ShardState::kOk;
       conn->shutdown();
     }
     if (up) ++healthy;
@@ -81,6 +67,34 @@ std::size_t ClusterClient::probe_all() {
     stats_.shards[i].healthy = up;
   }
   return healthy;
+}
+
+ShardState ClusterClient::handshake(Connection& conn,
+                                    ErrorInfo& error) const {
+  if (!server::send_frame(conn, MsgType::kPing, 1,
+                          server::encode_ping(PingInfo{})))
+    return ShardState::kDead;
+  Frame pong;
+  if (server::recv_frame(conn, pong) != RecvStatus::kFrame)
+    return ShardState::kDead;
+  try {
+    if (pong.type() == MsgType::kError) {
+      error = server::decode_error(pong.payload);
+      return ShardState::kError;
+    }
+    if (pong.type() != MsgType::kPong) return ShardState::kDead;
+    const PingInfo info = server::decode_ping(pong.payload);
+    if (info.role == server::NodeRole::kCoordinator ||
+        (cfg_.require_shard_role && info.role != server::NodeRole::kShard)) {
+      error = {ErrorCode::kBadRequest,
+               "peer is not a shard worker (role " +
+                   std::to_string(static_cast<int>(info.role)) + ")"};
+      return ShardState::kError;
+    }
+  } catch (const ProtocolError&) {
+    return ShardState::kDead;
+  }
+  return ShardState::kOk;
 }
 
 ShardOutcome ClusterClient::shard_leg(std::size_t shard, MsgType verb,
@@ -129,39 +143,9 @@ ShardOutcome ClusterClient::shard_leg(std::size_t shard, MsgType verb,
   // The leg body never early-returns: `state` is settled by fall-through
   // so the live-pointer withdrawal below always runs.
   [&] {
-    // Health-checked handshake: revision (server-side) + role.
-    if (!server::send_frame(*conn, MsgType::kPing, 1,
-                            server::encode_ping(PingInfo{})))
-      return classify_drop();
-    Frame pong;
-    if (server::recv_frame(*conn, pong) != RecvStatus::kFrame)
-      return classify_drop();
-    if (pong.type() == MsgType::kError) {
-      try {
-        out.error = server::decode_error(pong.payload);
-        out.state = ShardState::kError;
-      } catch (const ProtocolError&) {
-        out.state = ShardState::kDead;
-      }
-      return;
-    }
-    if (pong.type() != MsgType::kPong) return classify_drop();
-    PingInfo info;
-    try {
-      info = server::decode_ping(pong.payload);
-    } catch (const ProtocolError&) {
-      out.state = ShardState::kDead;
-      return;
-    }
-    if (info.role == server::NodeRole::kCoordinator ||
-        (cfg_.require_shard_role &&
-         info.role != server::NodeRole::kShard)) {
-      out.state = ShardState::kError;
-      out.error = {ErrorCode::kBadRequest,
-                   "peer is not a shard worker (role " +
-                       std::to_string(static_cast<int>(info.role)) + ")"};
-      return;
-    }
+    out.state = handshake(*conn, out.error);
+    if (out.state == ShardState::kDead) return classify_drop();
+    if (out.state != ShardState::kOk) return;
 
     // Per-shard budget = remaining deadline: connect/handshake time is
     // burned from every shard's allowance, never added to it.
@@ -367,81 +351,62 @@ ClientStatus settle(const std::vector<ShardOutcome>& outcomes,
 
 }  // namespace
 
-ClusterSearchResult ClusterClient::search(const server::SearchRequest& req) {
-  server::SearchRequest fwd = req;
+template <class Out, class Request, class Wire>
+Out ClusterClient::fan_out(
+    const Request& req, MsgType verb, MsgType ok_type,
+    std::vector<std::uint8_t> (*encode)(const Request&),
+    Wire (*decode)(const std::vector<std::uint8_t>&),
+    Wire (*merge)(std::vector<Wire>, const std::vector<std::size_t>&,
+                  const ShardManifest&, double)) {
+  Request fwd = req;
   fwd.db_id = cfg_.db_id;
   // The coordinator owns the Z correction: every shard scores against
   // the cluster total, whatever the caller put here.
   fwd.z_override = cfg_.manifest.total_sequences;
 
-  const EncodeFn encode = [&fwd](std::uint32_t remaining_ms) {
-    server::SearchRequest leg = fwd;
+  const EncodeFn encode_leg = [&fwd, encode](std::uint32_t remaining_ms) {
+    Request leg = fwd;
     leg.deadline_ms = remaining_ms;
-    return server::encode_search_request(leg);
+    return encode(leg);
   };
 
   std::vector<std::vector<std::uint8_t>> replies;
-  std::vector<ShardOutcome> outcomes = scatter(
-      MsgType::kSearch, MsgType::kResult, encode, req.deadline_ms, replies);
+  std::vector<ShardOutcome> outcomes =
+      scatter(verb, ok_type, encode_leg, req.deadline_ms, replies);
 
   // Decode before settling: an undecodable "success" is a dead shard.
-  std::vector<server::SearchResultWire> parts;
+  std::vector<Wire> parts;
   std::vector<std::size_t> part_shards;
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (outcomes[i].state != ShardState::kOk) continue;
     try {
-      parts.push_back(server::decode_search_result(replies[i]));
+      parts.push_back(decode(replies[i]));
       part_shards.push_back(i);
     } catch (const ProtocolError&) {
       outcomes[i].state = ShardState::kDead;
     }
   }
 
-  ClusterSearchResult out;
+  Out out;
   out.status = settle(outcomes, cfg_.allow_degraded, shard_count(), out);
   if (out.status == ClientStatus::kOk)
-    out.result = merge_search_results(std::move(parts), part_shards,
-                                      cfg_.manifest, req.evalue);
+    out.result =
+        merge(std::move(parts), part_shards, cfg_.manifest, req.evalue);
   out.shards = outcomes;
   account(outcomes, out.status, out.degraded);
   return out;
 }
 
+ClusterSearchResult ClusterClient::search(const server::SearchRequest& req) {
+  return fan_out<ClusterSearchResult>(
+      req, MsgType::kSearch, MsgType::kResult, server::encode_search_request,
+      server::decode_search_result, merge_search_results);
+}
+
 ClusterScanResult ClusterClient::scan(const server::ScanRequest& req) {
-  server::ScanRequest fwd = req;
-  fwd.db_id = cfg_.db_id;
-  fwd.z_override = cfg_.manifest.total_sequences;
-
-  const EncodeFn encode = [&fwd](std::uint32_t remaining_ms) {
-    server::ScanRequest leg = fwd;
-    leg.deadline_ms = remaining_ms;
-    return server::encode_scan_request(leg);
-  };
-
-  std::vector<std::vector<std::uint8_t>> replies;
-  std::vector<ShardOutcome> outcomes = scatter(
-      MsgType::kScan, MsgType::kScanResult, encode, req.deadline_ms, replies);
-
-  std::vector<server::ScanResultWire> parts;
-  std::vector<std::size_t> part_shards;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].state != ShardState::kOk) continue;
-    try {
-      parts.push_back(server::decode_scan_result(replies[i]));
-      part_shards.push_back(i);
-    } catch (const ProtocolError&) {
-      outcomes[i].state = ShardState::kDead;
-    }
-  }
-
-  ClusterScanResult out;
-  out.status = settle(outcomes, cfg_.allow_degraded, shard_count(), out);
-  if (out.status == ClientStatus::kOk)
-    out.result = merge_scan_results(std::move(parts), part_shards,
-                                    cfg_.manifest, req.evalue);
-  out.shards = outcomes;
-  account(outcomes, out.status, out.degraded);
-  return out;
+  return fan_out<ClusterScanResult>(
+      req, MsgType::kScan, MsgType::kScanResult, server::encode_scan_request,
+      server::decode_scan_result, merge_scan_results);
 }
 
 ClusterStats ClusterClient::stats() const {

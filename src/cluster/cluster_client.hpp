@@ -166,6 +166,14 @@ class ClusterClient {
   /// their share of the deadline.
   using EncodeFn = std::function<std::vector<std::uint8_t>(std::uint32_t)>;
 
+  /// The handshake every shard connection starts with: PING carrying
+  /// this build's wire revision (checked server-side), then the role
+  /// check here.  kOk when the peer may serve a leg; kError (with
+  /// `error`) when it refused or is not a shard worker; kDead when the
+  /// stream died or answered garbage.
+  ShardState handshake(server::Connection& conn,
+                       server::ErrorInfo& error) const;
+
   /// One shard's whole scatter leg: connect (with retry/backoff and the
   /// deadline in view), handshake, send, receive, classify.  kOk stores
   /// the undecoded reply payload in `reply`.
@@ -185,6 +193,17 @@ class ClusterClient {
       std::vector<std::vector<std::uint8_t>>& replies);
 
   /// Fold per-shard outcomes into the cluster counters.
+  /// SEARCH and SCAN share one path: re-address the request to the
+  /// shards, scatter it, decode the answers, settle, merge, account.
+  template <class Out, class Request, class Wire>
+  Out fan_out(const Request& req, server::MsgType verb,
+              server::MsgType ok_type,
+              std::vector<std::uint8_t> (*encode)(const Request&),
+              Wire (*decode)(const std::vector<std::uint8_t>&),
+              Wire (*merge)(std::vector<Wire>,
+                            const std::vector<std::size_t>&,
+                            const ShardManifest&, double));
+
   void account(const std::vector<ShardOutcome>& outcomes,
                server::ClientStatus status, bool degraded)
       FINEHMM_EXCLUDES(stats_mu_);

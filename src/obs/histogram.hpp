@@ -34,6 +34,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iosfwd>
+#include <string>
 
 namespace finehmm::obs {
 
@@ -155,5 +157,18 @@ struct LatencyQuantiles {
 };
 
 LatencyQuantiles latency_quantiles(const Histogram& h);
+
+/// One nanosecond latency surface as a JSON object in seconds: count,
+/// sum, p50/p90/p99/p999 and max.  The Prometheus writer below uses the
+/// same quantiles and the same formatting, so STATS and /metrics agree
+/// on p99 to the last digit.
+void write_latency_json(std::ostream& os, const Histogram& h);
+
+/// One nanosecond latency series as Prometheus summary samples in
+/// seconds (quantile lines, `_sum`, `_count`).  `labels` is "" or a
+/// rendered label set such as `shard="3"`; the caller writes the
+/// family's `# HELP` / `# TYPE` header once.
+void write_latency_prometheus(std::ostream& os, const std::string& name,
+                              const std::string& labels, const Histogram& h);
 
 }  // namespace finehmm::obs

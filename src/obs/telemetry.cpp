@@ -151,38 +151,32 @@ void ScanTelemetry::write_json(std::ostream& os, int indent) const {
   os << pad << "}";
 }
 
-namespace {
-
-// `# HELP` + `# TYPE` header for one metric family.  Every exported
-// series goes through here so no family ships without metadata.
-void family(std::ostream& os, const char* name, const char* type,
-            const char* help) {
+void write_prometheus_family(std::ostream& os, const char* name,
+                             const char* type, const char* help) {
   os << "# HELP " << name << " " << help << "\n";
   os << "# TYPE " << name << " " << type << "\n";
 }
-
-}  // namespace
 
 void ScanTelemetry::write_prometheus(std::ostream& os) const {
   // All free-form label values (engine, stage, counter keys) are
   // escaped; a hostile name cannot break the exposition.
   const std::string eng = "engine=\"" + prometheus_escape_label(engine) + "\"";
-  family(os, "finehmm_scan_wall_seconds", "gauge",
-         "End-to-end scan wall clock in seconds.");
+  write_prometheus_family(os, "finehmm_scan_wall_seconds", "gauge",
+                          "End-to-end scan wall clock in seconds.");
   os << "finehmm_scan_wall_seconds{" << eng << "} ";
   num(os, wall_seconds);
   os << "\n";
-  family(os, "finehmm_scan_sequences", "gauge",
-         "Database sequences covered by the scan.");
+  write_prometheus_family(os, "finehmm_scan_sequences", "gauge",
+                          "Database sequences covered by the scan.");
   os << "finehmm_scan_sequences{" << eng << "} " << sequences << "\n";
-  family(os, "finehmm_scan_cells_total", "counter",
-         "DP cells evaluated across all stages.");
+  write_prometheus_family(os, "finehmm_scan_cells_total", "counter",
+                          "DP cells evaluated across all stages.");
   os << "finehmm_scan_cells_total{" << eng << "} ";
   num(os, total_cells());
   os << "\n";
 
-  family(os, "finehmm_stage_seconds", "gauge",
-         "Per-stage wall and merged busy seconds.");
+  write_prometheus_family(os, "finehmm_stage_seconds", "gauge",
+                          "Per-stage wall and merged busy seconds.");
   for (const auto& s : stages) {
     const std::string stg = prometheus_escape_label(s.stage);
     os << "finehmm_stage_seconds{" << eng << ",stage=\"" << stg
@@ -194,8 +188,9 @@ void ScanTelemetry::write_prometheus(std::ostream& os) const {
     num(os, s.busy_seconds);
     os << "\n";
   }
-  family(os, "finehmm_stage_sequences", "gauge",
-         "Sequences entering and surviving each filter stage.");
+  write_prometheus_family(os, "finehmm_stage_sequences", "gauge",
+                          "Sequences entering and surviving each filter "
+                          "stage.");
   for (const auto& s : stages) {
     const std::string stg = prometheus_escape_label(s.stage);
     os << "finehmm_stage_sequences{" << eng << ",stage=\"" << stg
@@ -203,8 +198,8 @@ void ScanTelemetry::write_prometheus(std::ostream& os) const {
     os << "finehmm_stage_sequences{" << eng << ",stage=\"" << stg
        << "\",dir=\"passed\"} " << s.n_passed << "\n";
   }
-  family(os, "finehmm_stage_cells_total", "counter",
-         "DP cells evaluated per stage.");
+  write_prometheus_family(os, "finehmm_stage_cells_total", "counter",
+                          "DP cells evaluated per stage.");
   for (const auto& s : stages) {
     os << "finehmm_stage_cells_total{" << eng << ",stage=\""
        << prometheus_escape_label(s.stage) << "\"} ";
@@ -215,8 +210,9 @@ void ScanTelemetry::write_prometheus(std::ostream& os) const {
     bool any = false;
     for (const auto& s : stages) any = any || !s.counters.empty();
     if (any)
-      family(os, "finehmm_stage_counter", "gauge",
-             "Engine-specific per-stage counters (SIMT PerfCounters).");
+      write_prometheus_family(os, "finehmm_stage_counter", "gauge",
+                              "Engine-specific per-stage counters (SIMT "
+                              "PerfCounters).");
     for (const auto& s : stages) {
       for (const auto& [key, value] : s.counters) {
         os << "finehmm_stage_counter{" << eng << ",stage=\""
@@ -229,30 +225,31 @@ void ScanTelemetry::write_prometheus(std::ostream& os) const {
   }
 
   if (queue) {
-    family(os, "finehmm_queue_enqueued_total", "counter",
-           "Survivors pushed into the overlapped queue.");
+    write_prometheus_family(os, "finehmm_queue_enqueued_total", "counter",
+                            "Survivors pushed into the overlapped queue.");
     os << "finehmm_queue_enqueued_total{" << eng << "} " << queue->enqueued
        << "\n";
-    family(os, "finehmm_queue_dequeued_total", "counter",
-           "Survivors drained from the overlapped queue.");
+    write_prometheus_family(os, "finehmm_queue_dequeued_total", "counter",
+                            "Survivors drained from the overlapped queue.");
     os << "finehmm_queue_dequeued_total{" << eng << "} " << queue->dequeued
        << "\n";
-    family(os, "finehmm_queue_enqueue_stalls_total", "counter",
-           "try_push rejections (ring full).");
+    write_prometheus_family(os, "finehmm_queue_enqueue_stalls_total", "counter",
+                            "try_push rejections (ring full).");
     os << "finehmm_queue_enqueue_stalls_total{" << eng << "} "
        << queue->enqueue_stalls << "\n";
-    family(os, "finehmm_queue_help_first_rescues_total", "counter",
-           "Producers that drained one survivor themselves.");
+    write_prometheus_family(os, "finehmm_queue_help_first_rescues_total",
+                            "counter",
+                            "Producers that drained one survivor themselves.");
     os << "finehmm_queue_help_first_rescues_total{" << eng << "} "
        << queue->help_first_rescues << "\n";
-    family(os, "finehmm_queue_max_depth", "gauge",
-           "High-water occupancy of the overlapped queue.");
+    write_prometheus_family(os, "finehmm_queue_max_depth", "gauge",
+                            "High-water occupancy of the overlapped queue.");
     os << "finehmm_queue_max_depth{" << eng << "} " << queue->max_depth
        << "\n";
   }
 
-  family(os, "finehmm_thread_busy_seconds", "gauge",
-         "Per-worker busy seconds by stage.");
+  write_prometheus_family(os, "finehmm_thread_busy_seconds", "gauge",
+                          "Per-worker busy seconds by stage.");
   for (const auto& t : per_thread) {
     for (int s = 0; s < kStageCount; ++s) {
       if (t.stage_busy_seconds[s] == 0.0) continue;
@@ -263,8 +260,9 @@ void ScanTelemetry::write_prometheus(std::ostream& os) const {
     }
   }
 
-  family(os, "finehmm_bucket_sequences", "gauge",
-         "Sequences per geometric length bucket of the scan schedule.");
+  write_prometheus_family(os, "finehmm_bucket_sequences", "gauge",
+                          "Sequences per geometric length bucket of the scan "
+                          "schedule.");
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     os << "finehmm_bucket_sequences{" << eng << ",bucket=\"" << b << "\"} "
        << buckets[b].sequences << "\n";

@@ -12,8 +12,8 @@
 
 #include <cmath>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,6 +46,19 @@ std::string json_rate(double units, double seconds);
 /// breaks (a model named `pf"oo` would otherwise truncate the series).
 /// Shared by every exporter that embeds free-form text in a label.
 std::string prometheus_escape_label(const std::string& value);
+
+/// `# HELP` + `# TYPE` header for one Prometheus metric family.  Every
+/// exported family goes through here so none ships without metadata.
+void write_prometheus_family(std::ostream& os, const char* name,
+                             const char* type, const char* help);
+
+/// A one-sample gauge family: its header, then `name value`.
+template <class T>
+void write_prometheus_gauge(std::ostream& os, const char* name,
+                            const char* help, T value) {
+  write_prometheus_family(os, name, "gauge", help);
+  os << name << " " << value << "\n";
+}
 
 /// One pipeline stage as every engine reports it.
 struct StageTelemetry {

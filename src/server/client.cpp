@@ -14,6 +14,31 @@ BlockingClient::BlockingClient(std::unique_ptr<Connection> conn)
 
 BlockingClient::~BlockingClient() { conn_->shutdown(); }
 
+template <class Out, class Wire>
+Out BlockingClient::exchange(
+    MsgType verb, const std::vector<std::uint8_t>& payload, MsgType ok_type,
+    Wire (*decode)(const std::vector<std::uint8_t>&)) {
+  Out out;  // kDisconnected until a well-formed reply says otherwise
+  if (!send_frame(*conn_, verb, next_id_++, payload)) return out;
+  Frame reply;
+  if (recv_frame(*conn_, reply) != RecvStatus::kFrame) return out;
+  try {
+    if (reply.type() == ok_type) {
+      out.result = decode(reply.payload);
+      out.status = ClientStatus::kOk;
+    } else if (reply.type() == MsgType::kError) {
+      out.error = decode_error(reply.payload);
+      out.status = ClientStatus::kError;
+    } else if (reply.type() == MsgType::kOverload) {
+      out.overload = decode_overload(reply.payload);
+      out.status = ClientStatus::kOverloaded;
+    }
+  } catch (const ProtocolError&) {
+    out.status = ClientStatus::kDisconnected;
+  }
+  return out;
+}
+
 RemoteResult BlockingClient::search(std::uint32_t db_id,
                                     const hmm::Plan7Hmm& model,
                                     const stats::ModelStats* model_stats,
@@ -38,7 +63,8 @@ RemoteResult BlockingClient::search_pressed(std::uint32_t db_id,
   req.evalue = evalue;
   req.deadline_ms = deadline_ms;
   req.z_override = z_override;
-  return roundtrip(req);
+  return exchange<RemoteResult>(MsgType::kSearch, encode_search_request(req),
+                                MsgType::kResult, decode_search_result);
 }
 
 RemoteResult BlockingClient::search_blob(std::uint32_t db_id,
@@ -53,39 +79,8 @@ RemoteResult BlockingClient::search_blob(std::uint32_t db_id,
   req.evalue = evalue;
   req.deadline_ms = deadline_ms;
   req.z_override = z_override;
-  return roundtrip(req);
-}
-
-RemoteResult BlockingClient::roundtrip(const SearchRequest& req) {
-  RemoteResult out;
-  const std::uint32_t id = next_id_++;
-  if (!send_frame(*conn_, MsgType::kSearch, id, encode_search_request(req)))
-    return out;  // kDisconnected
-
-  Frame reply;
-  if (recv_frame(*conn_, reply) != RecvStatus::kFrame) return out;
-  try {
-    switch (reply.type()) {
-      case MsgType::kResult:
-        out.result = decode_search_result(reply.payload);
-        out.status = ClientStatus::kOk;
-        break;
-      case MsgType::kError:
-        out.error = decode_error(reply.payload);
-        out.status = ClientStatus::kError;
-        break;
-      case MsgType::kOverload:
-        out.overload = decode_overload(reply.payload);
-        out.status = ClientStatus::kOverloaded;
-        break;
-      default:
-        out.status = ClientStatus::kDisconnected;
-        break;
-    }
-  } catch (const ProtocolError&) {
-    out.status = ClientStatus::kDisconnected;
-  }
-  return out;
+  return exchange<RemoteResult>(MsgType::kSearch, encode_search_request(req),
+                                MsgType::kResult, decode_search_result);
 }
 
 RemoteScanResult BlockingClient::scan(std::uint32_t db_id, double evalue,
@@ -96,36 +91,8 @@ RemoteScanResult BlockingClient::scan(std::uint32_t db_id, double evalue,
   req.evalue = evalue;
   req.deadline_ms = deadline_ms;
   req.z_override = z_override;
-
-  RemoteScanResult out;
-  const std::uint32_t id = next_id_++;
-  if (!send_frame(*conn_, MsgType::kScan, id, encode_scan_request(req)))
-    return out;  // kDisconnected
-
-  Frame reply;
-  if (recv_frame(*conn_, reply) != RecvStatus::kFrame) return out;
-  try {
-    switch (reply.type()) {
-      case MsgType::kScanResult:
-        out.result = decode_scan_result(reply.payload);
-        out.status = ClientStatus::kOk;
-        break;
-      case MsgType::kError:
-        out.error = decode_error(reply.payload);
-        out.status = ClientStatus::kError;
-        break;
-      case MsgType::kOverload:
-        out.overload = decode_overload(reply.payload);
-        out.status = ClientStatus::kOverloaded;
-        break;
-      default:
-        out.status = ClientStatus::kDisconnected;
-        break;
-    }
-  } catch (const ProtocolError&) {
-    out.status = ClientStatus::kDisconnected;
-  }
-  return out;
+  return exchange<RemoteScanResult>(MsgType::kScan, encode_scan_request(req),
+                                    MsgType::kScanResult, decode_scan_result);
 }
 
 bool BlockingClient::ping() { return ping_info().has_value(); }

@@ -98,7 +98,11 @@ class BlockingClient {
   Connection& connection() { return *conn_; }
 
  private:
-  RemoteResult roundtrip(const SearchRequest& req);
+  /// Send one request frame and decode its reply into a Remote*Result.
+  template <class Out, class Wire>
+  Out exchange(MsgType verb, const std::vector<std::uint8_t>& payload,
+               MsgType ok_type,
+               Wire (*decode)(const std::vector<std::uint8_t>&));
 
   std::unique_ptr<Connection> conn_;
   std::uint32_t next_id_ = 1;

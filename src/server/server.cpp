@@ -1,6 +1,7 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <iomanip>
 #include <sstream>
 #include <utility>
 
@@ -12,6 +13,9 @@ namespace finehmm::server {
 namespace {
 
 using SteadyClock = std::chrono::steady_clock;
+
+/// Completed requests kept for STATS `recent_traces` and /statusz.
+constexpr std::size_t kTraceRingCapacity = 64;
 
 double seconds_between(SteadyClock::time_point a, SteadyClock::time_point b) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(b - a)
@@ -40,47 +44,68 @@ std::shared_ptr<pipeline::HmmSearch> search_from_blob(
   return std::make_shared<pipeline::HmmSearch>(model, thr);
 }
 
+/// The monotonic counters, in the order STATS and
+/// finehmm_server_events_total both list them.
+std::vector<std::pair<const char*, std::uint64_t>> events(
+    const ServerStats& s) {
+  return {
+      {"connections_accepted", s.connections_accepted},
+      {"requests_admitted", s.requests_admitted},
+      {"requests_completed", s.requests_completed},
+      {"requests_overloaded", s.requests_overloaded},
+      {"requests_rejected_draining", s.requests_rejected_draining},
+      {"requests_deadline_expired", s.requests_deadline_expired},
+      {"requests_bad", s.requests_bad},
+      {"requests_failed", s.requests_failed},
+      {"batches", s.batches},
+      {"db_sweeps", s.db_sweeps},
+      {"responses_dropped", s.responses_dropped},
+      {"frames_malformed", s.frames_malformed},
+      {"scan_requests", s.scan_requests},
+      {"scan_sweeps", s.scan_sweeps},
+      {"scan_models_scored", s.scan_models_scored},
+  };
+}
+
 }  // namespace
 
 SearchServer::SearchServer(ServerConfig cfg)
-    : cfg_(cfg),
+    : Node(cfg.role, cfg.shard_id),
+      cfg_(cfg),
       pool_(cfg.scan_threads),
-      recorder_(obs::RecorderConfig{/*tracing=*/cfg.tracing,
+      recorder_(obs::RecorderConfig{/*tracing=*/false,
                                     /*max_events_per_thread=*/1 << 15,
                                     /*enabled=*/true}),
       queue_(cfg.admission_capacity == 0 ? 1 : cfg.admission_capacity),
-      trace_ring_(cfg.trace_ring_capacity) {
-  paused_ = cfg.start_paused;
+      paused_(cfg.start_paused),
+      trace_ring_(kTraceRingCapacity) {
   telemetry_.engine = "server";
   telemetry_.threads = pool_.workers();
+  scheduler_ = std::thread([this] { scheduler_loop(); });
 }
 
 SearchServer::~SearchServer() {
-  // serve() joins everything before returning; nothing to reap here
-  // unless it was never called.
-  queue_.close();
+  // serve() joins the scheduler before returning; reap it here only
+  // when serve() never ran.
+  if (scheduler_.joinable()) after_accept_loop();
 }
 
 std::uint32_t SearchServer::add_database(const std::string& fsqdb_path) {
   Db db;
   db.mapped = std::make_unique<bio::MappedSeqDb>(fsqdb_path);
-  db.sequences = db.mapped->size();
-  db.residues = db.mapped->total_residues();
-  const bio::MappedSeqDb& m = *db.mapped;
-  db.schedule = pipeline::make_length_schedule(
-      m.size(), [&m](std::size_t i) { return std::size_t{m.length(i)}; });
-  dbs_.push_back(std::move(db));
-  return static_cast<std::uint32_t>(dbs_.size() - 1);
+  return adopt(std::move(db));
 }
 
 std::uint32_t SearchServer::add_database(bio::SequenceDatabase heap_db) {
   Db db;
   db.heap = std::make_unique<bio::SequenceDatabase>(std::move(heap_db));
-  db.sequences = db.heap->size();
-  db.residues = db.heap->total_residues();
-  const bio::SequenceDatabase& h = *db.heap;
+  return adopt(std::move(db));
+}
+
+std::uint32_t SearchServer::adopt(Db db) {
+  const pipeline::ScanSource src = db.view();
   db.schedule = pipeline::make_length_schedule(
-      h.size(), [&h](std::size_t i) { return h[i].length(); });
+      src.size(), [&src](std::size_t i) { return src.length(i); });
   dbs_.push_back(std::move(db));
   return static_cast<std::uint32_t>(dbs_.size() - 1);
 }
@@ -106,67 +131,17 @@ std::size_t SearchServer::add_model_library(const std::string& fhpdb_path) {
   return n;
 }
 
-void SearchServer::serve(Listener& listener) {
+void SearchServer::after_accept_loop() {
   {
     MutexLock lock(state_mu_);
-    FH_REQUIRE(listener_ == nullptr, "serve() is already running");
-    listener_ = &listener;
-    if (draining_) listener.close();  // drained before we even started
+    paused_ = false;  // a paused scheduler must wake to drain
+    pause_cv_.notify_all();
   }
-
-  std::thread scheduler([this] { scheduler_loop(); });
-
-  for (;;) {
-    std::unique_ptr<Connection> conn = listener.accept();
-    if (!conn) break;  // listener closed: drain has begun
-    auto session = std::make_shared<Session>();
-    session->conn = std::move(conn);
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.connections_accepted;
-    }
-    MutexLock lock(state_mu_);
-    sessions_.push_back(session);
-    conn_threads_.emplace_back(
-        [this, session] { handle_connection(session); });
-  }
-
   // No new clients.  Close the admission queue: items already accepted
   // keep flowing to the scheduler, which exits once the ring is empty —
   // that IS "finish in-flight".
   queue_.close();
-  scheduler.join();
-
-  // Unblock every connection reader (clients may be idle, not sending)
-  // and join the per-connection threads.
-  std::vector<std::thread> threads;
-  {
-    MutexLock lock(state_mu_);
-    for (const std::weak_ptr<Session>& weak : sessions_)
-      if (std::shared_ptr<Session> s = weak.lock()) s->conn->shutdown();
-    threads.swap(conn_threads_);
-    sessions_.clear();
-  }
-  for (std::thread& t : threads) t.join();
-
-  MutexLock lock(state_mu_);
-  listener_ = nullptr;
-}
-
-void SearchServer::begin_drain() {
-  MutexLock lock(state_mu_);
-  if (!draining_)
-    obs::log(obs::LogLevel::kInfo, "server.drain_begin",
-             {{"queue_depth", static_cast<std::uint64_t>(queue_.size())}});
-  draining_ = true;
-  paused_ = false;  // a paused scheduler must wake to drain
-  pause_cv_.notify_all();
-  if (listener_ != nullptr) listener_->close();
-}
-
-bool SearchServer::draining() const {
-  MutexLock lock(state_mu_);
-  return draining_;
+  scheduler_.join();
 }
 
 void SearchServer::set_paused(bool paused) {
@@ -176,147 +151,31 @@ void SearchServer::set_paused(bool paused) {
   pause_cv_.notify_all();
 }
 
-// --- Connection tier ---------------------------------------------------
+// --- Session tier ------------------------------------------------------
 
-bool SearchServer::send_reply(Session& session, MsgType type,
-                              std::uint32_t request_id,
-                              const std::vector<std::uint8_t>& payload) {
-  MutexLock lock(session.write_mu);
-  return send_frame(*session.conn, type, request_id, payload);
+bool SearchServer::known_db(Session& session, std::uint32_t request_id,
+                            std::uint32_t db_id) {
+  if (db_id < dbs_.size()) return true;
+  reject(session, request_id, ErrorCode::kUnknownDatabase,
+         "no resident database with id " + std::to_string(db_id));
+  return false;
 }
 
-void SearchServer::send_error(Session& session, std::uint32_t request_id,
-                              ErrorCode code, const std::string& message) {
-  send_reply(session, MsgType::kError, request_id,
-             encode_error(ErrorInfo{code, message}));
-}
+void SearchServer::on_search(const std::shared_ptr<Session>& session,
+                             std::uint32_t id, SearchRequest req) {
+  if (!known_db(*session, id, req.db_id)) return;
 
-void SearchServer::handle_connection(const std::shared_ptr<Session>& session) {
-  Frame frame;
-  for (;;) {
-    const RecvStatus st = recv_frame(*session->conn, frame);
-    if (st == RecvStatus::kEof) break;
-    if (st == RecvStatus::kMalformed) {
-      // Unframeable bytes: this connection cannot be re-synchronized, so
-      // it closes — the server itself keeps running (tested).
-      MutexLock lock(stats_mu_);
-      ++stats_.frames_malformed;
-      break;
-    }
-    switch (frame.type()) {
-      case MsgType::kPing: {
-        // Revision handshake (docs/cluster.md): the PING payload carries
-        // the peer's wire revision; an incompatible peer would misparse
-        // the optional cluster fields, so reject it here with a
-        // structured error instead of failing on a later frame.
-        PingInfo peer;
-        try {
-          peer = decode_ping(frame.payload);
-        } catch (const ProtocolError& e) {
-          send_error(*session, frame.header.request_id, ErrorCode::kBadRequest,
-                     e.what());
-          break;
-        }
-        if (peer.wire_revision != kWireRevision) {
-          send_error(*session, frame.header.request_id,
-                     ErrorCode::kVersionMismatch,
-                     "peer wire revision " +
-                         std::to_string(peer.wire_revision) +
-                         " incompatible with " +
-                         std::to_string(kWireRevision));
-          break;
-        }
-        PingInfo self;
-        self.role = cfg_.role;
-        self.shard_id = cfg_.shard_id;
-        send_reply(*session, MsgType::kPong, frame.header.request_id,
-                   encode_ping(self));
-        break;
-      }
-      case MsgType::kStats: {
-        const std::string json = stats_json();
-        send_reply(*session, MsgType::kStatsResult, frame.header.request_id,
-                   std::vector<std::uint8_t>(json.begin(), json.end()));
-        break;
-      }
-      case MsgType::kSearch:
-        handle_search(session, frame);
-        break;
-      case MsgType::kScan:
-        handle_scan(session, frame);
-        break;
-      default:
-        send_error(*session, frame.header.request_id, ErrorCode::kBadRequest,
-                   "unexpected message type " +
-                       std::to_string(frame.header.type));
-        break;
-    }
-  }
-  session->conn->shutdown();
-}
+  const pipeline::Thresholds thr{.report_evalue = req.evalue,
+                                 .z_override = req.z_override};
 
-void SearchServer::handle_search(const std::shared_ptr<Session>& session,
-                                 const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
-
-  SearchRequest req;
-  try {
-    req = decode_search_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    // The framing layer consumed the whole payload, so the connection is
-    // still in sync — answer with an error and keep serving it.
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(*session, id, ErrorCode::kShuttingDown,
-               "daemon is draining; no new searches accepted");
-    return;
-  }
-
-  if (req.db_id >= dbs_.size()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownDatabase,
-               "no resident database with id " + std::to_string(req.db_id));
-    return;
-  }
-
-  pipeline::Thresholds thr;
-  thr.report_evalue = req.evalue;
-  thr.z_override = req.z_override;
-
-  auto pending = std::make_shared<Pending>();
-  pending->request_id = id;
-  pending->db_id = req.db_id;
-  pending->session = session;
-  if (req.deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(req.deadline_ms);
-  }
-
+  auto pending = std::make_shared<Pending>(
+      Pending{.session = session, .request_id = id, .db_id = req.db_id});
   try {
     if (req.model_kind == ModelRefKind::kPressed) {
       auto it = models_.find(req.model_name);
       if (it == models_.end()) {
-        {
-          MutexLock lock(stats_mu_);
-          ++stats_.requests_bad;
-        }
-        send_error(*session, id, ErrorCode::kUnknownModel,
-                   "no pressed model named '" + req.model_name + "'");
+        reject(*session, id, ErrorCode::kUnknownModel,
+               "no pressed model named '" + req.model_name + "'");
         return;
       }
       // add_model_library guaranteed stats are present.
@@ -326,20 +185,42 @@ void SearchServer::handle_search(const std::shared_ptr<Session>& session,
       pending->search = search_from_blob(req.model_blob, thr);
     }
   } catch (const Error& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest,
-               std::string("model rejected: ") + e.what());
+    reject(*session, id, ErrorCode::kBadRequest,
+           std::string("model rejected: ") + e.what());
+    return;
+  }
+  admit(pending, req.deadline_ms);
+}
+
+void SearchServer::on_scan(const std::shared_ptr<Session>& session,
+                           std::uint32_t id, ScanRequest req) {
+  if (!known_db(*session, id, req.db_id)) return;
+  if (scan_searches_.empty()) {
+    reject(*session, id, ErrorCode::kUnknownModel,
+           "no model libraries loaded; SCAN has nothing to score");
     return;
   }
 
-  pending->trace_id = obs::next_trace_id();
+  admit(std::make_shared<Pending>(Pending{.session = session,
+                                          .request_id = id,
+                                          .db_id = req.db_id,
+                                          .is_scan = true,
+                                          .scan_evalue = req.evalue,
+                                          .scan_z_override = req.z_override}),
+        req.deadline_ms);
+}
+
+void SearchServer::admit(const std::shared_ptr<Pending>& pending,
+                         std::uint32_t deadline_ms) {
   pending->admitted_at = SteadyClock::now();
+  if (deadline_ms > 0)
+    pending->deadline =
+        pending->admitted_at + std::chrono::milliseconds(deadline_ms);
+  pending->trace_id = obs::next_trace_id();
+  const bool is_scan = pending->is_scan;  // read before the scheduler owns it
   if (!queue_.try_push(pending)) {
-    // Admission bound hit (or drain closed the queue between the check
-    // above and here): shed explicitly, never block the client.
+    // Admission bound hit (or drain closed the queue after the shell's
+    // draining check): shed explicitly, never block the client.
     {
       MutexLock lock(stats_mu_);
       ++stats_.requests_overloaded;
@@ -349,101 +230,18 @@ void SearchServer::handle_search(const std::shared_ptr<Session>& session,
     std::uint64_t suppressed = 0;
     if (overload_limit.allow(&suppressed))
       obs::log(obs::LogLevel::kWarn, "server.overload",
-               {{"verb", "SEARCH"},
+               {{"verb", is_scan ? "SCAN" : "SEARCH"},
                 {"queue_capacity", static_cast<std::uint64_t>(
                                        queue_.capacity())},
                 {"suppressed", suppressed}});
-    send_reply(*session, MsgType::kOverload, id,
+    send_reply(*pending->session, MsgType::kOverload, pending->request_id,
                encode_overload(OverloadInfo{
                    static_cast<std::uint32_t>(queue_.capacity())}));
     return;
   }
   MutexLock lock(stats_mu_);
   ++stats_.requests_admitted;
-}
-
-void SearchServer::handle_scan(const std::shared_ptr<Session>& session,
-                               const Frame& frame) {
-  const std::uint32_t id = frame.header.request_id;
-
-  ScanRequest req;
-  try {
-    req = decode_scan_request(frame.payload);
-  } catch (const ProtocolError& e) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kBadRequest, e.what());
-    return;
-  }
-
-  if (draining()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_rejected_draining;
-    }
-    send_error(*session, id, ErrorCode::kShuttingDown,
-               "daemon is draining; no new scans accepted");
-    return;
-  }
-
-  if (req.db_id >= dbs_.size()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownDatabase,
-               "no resident database with id " + std::to_string(req.db_id));
-    return;
-  }
-
-  if (scan_searches_.empty()) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_bad;
-    }
-    send_error(*session, id, ErrorCode::kUnknownModel,
-               "no model libraries loaded; SCAN has nothing to score");
-    return;
-  }
-
-  auto pending = std::make_shared<Pending>();
-  pending->request_id = id;
-  pending->db_id = req.db_id;
-  pending->is_scan = true;
-  pending->scan_evalue = req.evalue;
-  pending->scan_z_override = req.z_override;
-  pending->session = session;
-  if (req.deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(req.deadline_ms);
-  }
-
-  pending->trace_id = obs::next_trace_id();
-  pending->admitted_at = SteadyClock::now();
-  if (!queue_.try_push(pending)) {
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_overloaded;
-    }
-    static obs::LogRateLimit overload_limit(1);
-    std::uint64_t suppressed = 0;
-    if (overload_limit.allow(&suppressed))
-      obs::log(obs::LogLevel::kWarn, "server.overload",
-               {{"verb", "SCAN"},
-                {"queue_capacity", static_cast<std::uint64_t>(
-                                       queue_.capacity())},
-                {"suppressed", suppressed}});
-    send_reply(*session, MsgType::kOverload, id,
-               encode_overload(OverloadInfo{
-                   static_cast<std::uint32_t>(queue_.capacity())}));
-    return;
-  }
-  MutexLock lock(stats_mu_);
-  ++stats_.requests_admitted;
-  ++stats_.scan_requests;
+  if (is_scan) ++stats_.scan_requests;
 }
 
 // --- Scheduler tier ----------------------------------------------------
@@ -502,6 +300,38 @@ void SearchServer::scheduler_loop() {
   }
 }
 
+void SearchServer::fail_group(
+    const std::vector<std::shared_ptr<Pending>>& group, const Error& e) {
+  {
+    MutexLock lock(stats_mu_);
+    stats_.requests_failed += group.size();
+  }
+  for (const auto& p : group)
+    send_error(*p->session, p->request_id, ErrorCode::kInternal,
+               std::string("scan failed: ") + e.what());
+}
+
+template <class Wire>
+void SearchServer::complete(const Pending& p, const Sweep& sweep,
+                            MsgType type, const Wire& wire,
+                            std::vector<std::uint8_t> (*encode)(const Wire&)) {
+  // Completion is accounted before the reply leaves, so a client that
+  // reads STATS right after its result already sees it (test_server
+  // leans on this ordering); only responses_dropped (needs the send
+  // outcome) lags.
+  {
+    MutexLock lock(stats_mu_);
+    ++stats_.requests_completed;
+  }
+  const auto serialize_start = SteadyClock::now();
+  if (!send_reply(*p.session, type, p.request_id, encode(wire))) {
+    MutexLock lock(stats_mu_);
+    ++stats_.responses_dropped;
+  }
+  finish_request_trace(p, sweep,
+                       seconds_between(serialize_start, SteadyClock::now()));
+}
+
 void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
   // Group by database: one coalesced sweep per distinct resident db for
   // SEARCHes, plus one fused library sweep per db with queued SCANs —
@@ -510,7 +340,7 @@ void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
   std::map<std::uint32_t, std::vector<std::shared_ptr<Pending>>> scans_by_db;
   const auto now = std::chrono::steady_clock::now();
   for (std::shared_ptr<Pending>& p : batch) {
-    if (p->has_deadline && now > p->deadline) {
+    if (p->deadline && now > *p->deadline) {
       {
         MutexLock lock(stats_mu_);
         ++stats_.requests_deadline_expired;
@@ -538,21 +368,15 @@ void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
                                        /*plan=*/nullptr, &db.schedule,
                                        &recorder_, "cpu_coalesced");
     } catch (const Error& e) {
-      {
-        MutexLock lock(stats_mu_);
-        stats_.requests_failed += group.size();
-      }
-      for (const auto& p : group)
-        send_error(*p->session, p->request_id, ErrorCode::kInternal,
-                   std::string("scan failed: ") + e.what());
+      fail_group(group, e);
       continue;
     }
+    const Sweep sweep{"SEARCH", sweep_start, SteadyClock::now(),
+                      scan.telemetry, group.size()};
 
-    const auto sweep_end = SteadyClock::now();
-
-    // Sweep-level accounting lands BEFORE any reply goes out, so a
-    // client that reads STATS right after its result already sees the
-    // sweep it rode in (test_server leans on this ordering too).
+    // Sweep-level accounting lands BEFORE any reply goes out, so a client
+    // that reads STATS right after its result already sees the sweep it
+    // rode in.
     {
       MutexLock lock(stats_mu_);
       ++stats_.db_sweeps;
@@ -563,32 +387,15 @@ void SearchServer::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
       const pipeline::SearchResult& r = scan.per_model[i];
       SearchResultWire wire;
       wire.trace_id = group[i]->trace_id;
-      wire.db_sequences = db.sequences;
-      wire.db_residues = db.residues;
+      wire.db_sequences = db.view().size();
+      wire.db_residues = db.view().total_residues();
       wire.ssv = r.ssv;
       wire.msv = r.msv;
       wire.vit = r.vit;
       wire.fwd = r.fwd;
       wire.bwd = r.bwd;
       wire.hits = r.hits;
-      // Completion is accounted before the reply leaves, for the same
-      // reason; only responses_dropped (needs the send outcome) lags.
-      {
-        MutexLock lock(stats_mu_);
-        ++stats_.requests_completed;
-      }
-      const auto serialize_start = SteadyClock::now();
-      const bool sent =
-          send_reply(*group[i]->session, MsgType::kResult,
-                     group[i]->request_id, encode_search_result(wire));
-      if (!sent) {
-        MutexLock lock(stats_mu_);
-        ++stats_.responses_dropped;
-      }
-      finish_request_trace(*group[i], "SEARCH", sweep_start, sweep_end,
-                           seconds_between(serialize_start,
-                                           SteadyClock::now()),
-                           scan.telemetry, group.size());
+      complete(*group[i], sweep, MsgType::kResult, wire, encode_search_result);
     }
   }
 }
@@ -612,17 +419,11 @@ void SearchServer::run_scans(
                                      &*scan_plan_, &db.schedule, &recorder_,
                                      "cpu_fused");
   } catch (const Error& e) {
-    {
-      MutexLock lock(stats_mu_);
-      stats_.requests_failed += group.size();
-    }
-    for (const auto& p : group)
-      send_error(*p->session, p->request_id, ErrorCode::kInternal,
-                 std::string("scan failed: ") + e.what());
+    fail_group(group, e);
     return;
   }
-
-  const auto sweep_end = SteadyClock::now();
+  const Sweep sweep{"SCAN", sweep_start, SteadyClock::now(), scan.telemetry,
+                    group.size()};
 
   {
     MutexLock lock(stats_mu_);
@@ -638,8 +439,8 @@ void SearchServer::run_scans(
   for (const auto& p : group) {
     ScanResultWire wire;
     wire.trace_id = p->trace_id;
-    wire.db_sequences = db.sequences;
-    wire.db_residues = db.residues;
+    wire.db_sequences = db.view().size();
+    wire.db_residues = db.view().total_residues();
     wire.fuse_groups = scan_plan_->groups.size();
     wire.fused_models = scan_plan_->fused_models();
     wire.lane_occupancy = scan_plan_->lane_occupancy();
@@ -669,20 +470,7 @@ void SearchServer::run_scans(
       }
       wire.models.push_back(std::move(mh));
     }
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.requests_completed;
-    }
-    const auto serialize_start = SteadyClock::now();
-    const bool sent = send_reply(*p->session, MsgType::kScanResult,
-                                 p->request_id, encode_scan_result(wire));
-    if (!sent) {
-      MutexLock lock(stats_mu_);
-      ++stats_.responses_dropped;
-    }
-    finish_request_trace(*p, "SCAN", sweep_start, sweep_end,
-                         seconds_between(serialize_start, SteadyClock::now()),
-                         scan.telemetry, group.size());
+    complete(*p, sweep, MsgType::kScanResult, wire, encode_scan_result);
   }
 }
 
@@ -723,8 +511,11 @@ void SearchServer::merge_batch_telemetry(const obs::ScanTelemetry& t) {
 }
 
 ServerStats SearchServer::stats() const {
+  const NodeStats shell = node_stats();
   MutexLock lock(stats_mu_);
-  return stats_;
+  ServerStats s = stats_;
+  static_cast<NodeStats&>(s) = shell;
+  return s;
 }
 
 obs::ScanTelemetry SearchServer::telemetry() const {
@@ -732,28 +523,27 @@ obs::ScanTelemetry SearchServer::telemetry() const {
   return telemetry_;
 }
 
-void SearchServer::finish_request_trace(
-    const Pending& p, const char* verb, SteadyClock::time_point sweep_start,
-    SteadyClock::time_point sweep_end, double serialize_seconds,
-    const obs::ScanTelemetry& sweep_telemetry, std::size_t batch_size) {
+void SearchServer::finish_request_trace(const Pending& p, const Sweep& sweep,
+                                        double serialize_seconds) {
   const auto done = SteadyClock::now();
 
   obs::RequestTrace t;
   t.trace_id = p.trace_id;
   t.request_id = p.request_id;
-  t.verb = verb;
+  t.verb = sweep.verb;
   t.start_ns = ns_between(start_time_, p.admitted_at);
   t.queue_seconds = seconds_between(p.admitted_at, p.popped_at);
-  t.coalesce_seconds = seconds_between(p.popped_at, sweep_start);
-  t.sweep_seconds = seconds_between(sweep_start, sweep_end);
+  t.coalesce_seconds = seconds_between(p.popped_at, sweep.start);
+  t.sweep_seconds = seconds_between(sweep.start, sweep.end);
   t.serialize_seconds = serialize_seconds;
   t.total_seconds = seconds_between(p.admitted_at, done);
-  t.batch_size = static_cast<std::uint32_t>(batch_size == 0 ? 1 : batch_size);
+  t.batch_size = static_cast<std::uint32_t>(
+      sweep.batch_size == 0 ? 1 : sweep.batch_size);
   // The sweep scored the whole batch at once; attribute each request an
   // equal share of the per-stage busy time (requests in one coalesced
   // sweep walk the same database, so shares are genuinely symmetric).
   const double share = 1.0 / static_cast<double>(t.batch_size);
-  for (const obs::StageTelemetry& st : sweep_telemetry.stages) {
+  for (const obs::StageTelemetry& st : sweep.telemetry.stages) {
     for (int s = 0; s < obs::kStageCount; ++s) {
       if (st.stage == obs::stage_name(static_cast<obs::Stage>(s))) {
         t.stage_seconds[s] += st.busy_seconds * share;
@@ -765,7 +555,7 @@ void SearchServer::finish_request_trace(
   // Always-on histograms: three relaxed atomic adds per request.
   e2e_hist_.record(ns_between(p.admitted_at, done));
   queue_hist_.record(ns_between(p.admitted_at, p.popped_at));
-  sweep_hist_.record(ns_between(sweep_start, sweep_end));
+  sweep_hist_.record(ns_between(sweep.start, sweep.end));
   trace_ring_.push(t);
 
   if (cfg_.slow_request_seconds > 0.0 &&
@@ -776,7 +566,7 @@ void SearchServer::finish_request_trace(
       obs::log(
           obs::LogLevel::kWarn, "server.slow_request",
           {{"trace_id", obs::trace_id_hex(t.trace_id)},
-           {"verb", verb},
+           {"verb", sweep.verb},
            {"total_ms", t.total_seconds * 1e3},
            {"queue_ms", t.queue_seconds * 1e3},
            {"coalesce_ms", t.coalesce_seconds * 1e3},
@@ -797,55 +587,9 @@ void SearchServer::finish_request_trace(
   }
 }
 
-double SearchServer::uptime_seconds() const {
-  return seconds_between(start_time_, SteadyClock::now());
-}
-
-namespace {
-
-/// One latency surface as JSON, seconds.  The SAME quantile math
-/// (obs::latency_quantiles over one snapshot) and the same double
-/// formatting feed /metrics, so the two surfaces agree on p99.
-void write_hist_json(std::ostream& os, const obs::Histogram& h, int indent) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  os << pad << "{\"count\": " << q.count
-     << ", \"sum_seconds\": " << static_cast<double>(q.sum) * 1e-9
-     << ", \"p50_seconds\": " << static_cast<double>(q.p50) * 1e-9
-     << ", \"p90_seconds\": " << static_cast<double>(q.p90) * 1e-9
-     << ", \"p99_seconds\": " << static_cast<double>(q.p99) * 1e-9
-     << ", \"p999_seconds\": " << static_cast<double>(q.p999) * 1e-9
-     << ", \"max_seconds\": " << static_cast<double>(h.max()) * 1e-9 << "}";
-}
-
-/// One latency surface as a Prometheus summary family.
-void write_hist_prometheus(std::ostream& os, const char* name,
-                           const char* help, const obs::Histogram& h) {
-  const obs::LatencyQuantiles q = obs::latency_quantiles(h);
-  os << "# HELP " << name << " " << help << "\n";
-  os << "# TYPE " << name << " summary\n";
-  os << name << "{quantile=\"0.5\"} " << static_cast<double>(q.p50) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.9\"} " << static_cast<double>(q.p90) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.99\"} " << static_cast<double>(q.p99) * 1e-9
-     << "\n";
-  os << name << "{quantile=\"0.999\"} " << static_cast<double>(q.p999) * 1e-9
-     << "\n";
-  os << name << "_sum " << static_cast<double>(q.sum) * 1e-9 << "\n";
-  os << name << "_count " << q.count << "\n";
-}
-
-}  // namespace
-
 std::string SearchServer::stats_json() const {
-  ServerStats s;
-  obs::ScanTelemetry t;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-    t = telemetry_;
-  }
+  const ServerStats s = stats();
+  const obs::ScanTelemetry t = telemetry();
   const obs::Histogram e2e = e2e_hist_.snapshot();
   const obs::Histogram queue_wait = queue_hist_.snapshot();
   const obs::Histogram sweep = sweep_hist_.snapshot();
@@ -857,33 +601,19 @@ std::string SearchServer::stats_json() const {
   os << "  \"uptime_seconds\": " << uptime_seconds() << ",\n";
   os << "  \"queue_depth\": " << queue_.size() << ",\n";
   os << "  \"draining\": " << (draining() ? "true" : "false") << ",\n";
-  os << "  \"connections_accepted\": " << s.connections_accepted << ",\n";
-  os << "  \"requests_admitted\": " << s.requests_admitted << ",\n";
-  os << "  \"requests_completed\": " << s.requests_completed << ",\n";
-  os << "  \"requests_overloaded\": " << s.requests_overloaded << ",\n";
-  os << "  \"requests_rejected_draining\": " << s.requests_rejected_draining
-     << ",\n";
-  os << "  \"requests_deadline_expired\": " << s.requests_deadline_expired
-     << ",\n";
-  os << "  \"requests_bad\": " << s.requests_bad << ",\n";
-  os << "  \"requests_failed\": " << s.requests_failed << ",\n";
-  os << "  \"batches\": " << s.batches << ",\n";
-  os << "  \"db_sweeps\": " << s.db_sweeps << ",\n";
+  os << "  \"connections_open\": " << s.connections_open << ",\n";
+  for (const auto& [name, value] : events(s))
+    os << "  \"" << name << "\": " << value << ",\n";
   os << "  \"max_batch_size\": " << s.max_batch_size << ",\n";
-  os << "  \"responses_dropped\": " << s.responses_dropped << ",\n";
-  os << "  \"frames_malformed\": " << s.frames_malformed << ",\n";
-  os << "  \"scan_requests\": " << s.scan_requests << ",\n";
-  os << "  \"scan_sweeps\": " << s.scan_sweeps << ",\n";
-  os << "  \"scan_models_scored\": " << s.scan_models_scored << ",\n";
   os << "  \"scan_fuse_groups\": " << s.scan_fuse_groups << ",\n";
   os << "  \"scan_lane_occupancy\": " << s.scan_lane_occupancy << ",\n";
   os << "  \"latency\": {\n";
   os << "    \"e2e\": ";
-  write_hist_json(os, e2e, 0);
+  obs::write_latency_json(os, e2e);
   os << ",\n    \"queue_wait\": ";
-  write_hist_json(os, queue_wait, 0);
+  obs::write_latency_json(os, queue_wait);
   os << ",\n    \"sweep\": ";
-  write_hist_json(os, sweep, 0);
+  obs::write_latency_json(os, sweep);
   os << "\n  },\n";
   os << "  \"recent_traces\": [";
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -898,96 +628,74 @@ std::string SearchServer::stats_json() const {
 }
 
 std::string SearchServer::metrics_text() const {
-  ServerStats s;
-  obs::ScanTelemetry t;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-    t = telemetry_;
-  }
+  const ServerStats s = stats();
+  const obs::ScanTelemetry t = telemetry();
 
   std::ostringstream os;
-  os << "# HELP finehmm_up Whether finehmmd is serving (drain flips to 0).\n";
-  os << "# TYPE finehmm_up gauge\n";
-  os << "finehmm_up " << (draining() ? 0 : 1) << "\n";
-  os << "# HELP finehmm_uptime_seconds Seconds since the server started.\n";
-  os << "# TYPE finehmm_uptime_seconds gauge\n";
-  os << "finehmm_uptime_seconds " << uptime_seconds() << "\n";
-  os << "# HELP finehmm_queue_depth Admission queue occupancy right now.\n";
-  os << "# TYPE finehmm_queue_depth gauge\n";
-  os << "finehmm_queue_depth " << queue_.size() << "\n";
-  os << "# HELP finehmm_queue_capacity Admission queue bound (shed above).\n";
-  os << "# TYPE finehmm_queue_capacity gauge\n";
-  os << "finehmm_queue_capacity " << queue_.capacity() << "\n";
-  os << "# HELP finehmm_resident_databases Databases held mmap-resident.\n";
-  os << "# TYPE finehmm_resident_databases gauge\n";
-  os << "finehmm_resident_databases " << dbs_.size() << "\n";
-  os << "# HELP finehmm_resident_models Models loaded from .fhpdb "
-        "libraries.\n";
-  os << "# TYPE finehmm_resident_models gauge\n";
-  os << "finehmm_resident_models " << models_.size() << "\n";
+  using obs::write_prometheus_gauge;
+  write_prometheus_gauge(os, "finehmm_up",
+                         "Whether finehmmd is serving (drain flips to 0).",
+                         draining() ? 0 : 1);
+  write_prometheus_gauge(os, "finehmm_uptime_seconds",
+                         "Seconds since the server started.",
+                         uptime_seconds());
+  write_prometheus_gauge(os, "finehmm_queue_depth",
+                         "Admission queue occupancy right now.",
+                         queue_.size());
+  write_prometheus_gauge(os, "finehmm_connections_open",
+                         "Client connections open right now.",
+                         s.connections_open);
+  write_prometheus_gauge(os, "finehmm_queue_capacity",
+                         "Admission queue bound (shed above).",
+                         queue_.capacity());
+  write_prometheus_gauge(os, "finehmm_resident_databases",
+                         "Databases held mmap-resident.", dbs_.size());
+  write_prometheus_gauge(os, "finehmm_resident_models",
+                         "Models loaded from .fhpdb libraries.",
+                         models_.size());
 
-  os << "# HELP finehmm_server_events_total Monotonic server request and "
-        "connection counters by event.\n";
-  os << "# TYPE finehmm_server_events_total counter\n";
-  const std::pair<const char*, std::uint64_t> events[] = {
-      {"connections_accepted", s.connections_accepted},
-      {"requests_admitted", s.requests_admitted},
-      {"requests_completed", s.requests_completed},
-      {"requests_overloaded", s.requests_overloaded},
-      {"requests_rejected_draining", s.requests_rejected_draining},
-      {"requests_deadline_expired", s.requests_deadline_expired},
-      {"requests_bad", s.requests_bad},
-      {"requests_failed", s.requests_failed},
-      {"batches", s.batches},
-      {"db_sweeps", s.db_sweeps},
-      {"responses_dropped", s.responses_dropped},
-      {"frames_malformed", s.frames_malformed},
-      {"scan_requests", s.scan_requests},
-      {"scan_sweeps", s.scan_sweeps},
-      {"scan_models_scored", s.scan_models_scored},
-  };
-  for (const auto& [name, value] : events)
+  obs::write_prometheus_family(
+      os, "finehmm_server_events_total", "counter",
+      "Monotonic server request and connection counters by event.");
+  for (const auto& [name, value] : events(s))
     os << "finehmm_server_events_total{event=\"" << name << "\"} " << value
        << "\n";
 
-  os << "# HELP finehmm_max_batch_size Largest coalesced batch so far.\n";
-  os << "# TYPE finehmm_max_batch_size gauge\n";
-  os << "finehmm_max_batch_size " << s.max_batch_size << "\n";
-  os << "# HELP finehmm_scan_fuse_groups Groups in the current fuse plan.\n";
-  os << "# TYPE finehmm_scan_fuse_groups gauge\n";
-  os << "finehmm_scan_fuse_groups " << s.scan_fuse_groups << "\n";
-  os << "# HELP finehmm_scan_lane_occupancy Cell-weighted SIMD lane "
-        "occupancy of fused sweeps (0..1).\n";
-  os << "# TYPE finehmm_scan_lane_occupancy gauge\n";
-  os << "finehmm_scan_lane_occupancy " << s.scan_lane_occupancy << "\n";
+  write_prometheus_gauge(os, "finehmm_max_batch_size",
+                         "Largest coalesced batch so far.", s.max_batch_size);
+  write_prometheus_gauge(os, "finehmm_scan_fuse_groups",
+                         "Groups in the current fuse plan.",
+                         s.scan_fuse_groups);
+  write_prometheus_gauge(
+      os, "finehmm_scan_lane_occupancy",
+      "Cell-weighted SIMD lane occupancy of fused sweeps (0..1).",
+      s.scan_lane_occupancy);
 
-  write_hist_prometheus(os, "finehmm_request_latency_seconds",
-                        "End-to-end request latency (admission to reply "
-                        "written).",
-                        e2e_hist_.snapshot());
-  write_hist_prometheus(os, "finehmm_queue_wait_seconds",
-                        "Time requests spent in the admission queue.",
-                        queue_hist_.snapshot());
-  write_hist_prometheus(os, "finehmm_sweep_seconds",
-                        "Wall time of the database sweep each request rode "
-                        "in.",
-                        sweep_hist_.snapshot());
+  const auto summary = [&os](const char* name, const char* help,
+                             const obs::Histogram& h) {
+    obs::write_prometheus_family(os, name, "summary", help);
+    obs::write_latency_prometheus(os, name, "", h);
+  };
+  summary("finehmm_request_latency_seconds",
+          "End-to-end request latency (admission to reply written).",
+          e2e_hist_.snapshot());
+  summary("finehmm_queue_wait_seconds",
+          "Time requests spent in the admission queue.",
+          queue_hist_.snapshot());
+  summary("finehmm_sweep_seconds",
+          "Wall time of the database sweep each request rode in.",
+          sweep_hist_.snapshot());
 
   t.write_prometheus(os);
   return os.str();
 }
 
 std::string SearchServer::statusz_text() const {
-  ServerStats s;
-  {
-    MutexLock lock(stats_mu_);
-    s = stats_;
-  }
+  const ServerStats s = stats();
   std::uint64_t db_seqs = 0, db_residues = 0;
   for (const Db& db : dbs_) {
-    db_seqs += db.sequences;
-    db_residues += db.residues;
+    db_seqs += db.view().size();
+    db_residues += db.view().total_residues();
   }
   const std::uint64_t sweeps = s.db_sweeps + s.scan_sweeps;
 
@@ -1013,17 +721,14 @@ std::string SearchServer::statusz_text() const {
   os << "fuse plan:          " << s.scan_fuse_groups << " groups, lane "
      << "occupancy " << s.scan_lane_occupancy << "\n";
 
-  const char* names[] = {"e2e", "queue_wait", "sweep"};
-  const obs::Histogram hists[] = {e2e_hist_.snapshot(),
-                                  queue_hist_.snapshot(),
-                                  sweep_hist_.snapshot()};
-  for (int i = 0; i < 3; ++i) {
-    const obs::LatencyQuantiles q = obs::latency_quantiles(hists[i]);
-    os << "latency " << names[i] << " (ms):";
-    for (int pad = static_cast<int>(std::string(names[i]).size()); pad < 11;
-         ++pad)
-      os << ' ';
-    os << "p50 " << static_cast<double>(q.p50) * 1e-6 << ", p90 "
+  const std::pair<const char*, obs::Histogram> hists[] = {
+      {"e2e (ms):", e2e_hist_.snapshot()},
+      {"queue_wait (ms):", queue_hist_.snapshot()},
+      {"sweep (ms):", sweep_hist_.snapshot()}};
+  for (const auto& [label, h] : hists) {
+    const obs::LatencyQuantiles q = obs::latency_quantiles(h);
+    os << "latency " << std::left << std::setw(17) << label << "p50 "
+       << static_cast<double>(q.p50) * 1e-6 << ", p90 "
        << static_cast<double>(q.p90) * 1e-6 << ", p99 "
        << static_cast<double>(q.p99) * 1e-6 << ", p99.9 "
        << static_cast<double>(q.p999) * 1e-6 << " (n=" << q.count << ")\n";
@@ -1040,29 +745,6 @@ std::string SearchServer::statusz_text() const {
        << ", batch " << tr.batch_size << ")\n";
   }
   return os.str();
-}
-
-HttpResponse SearchServer::handle_http(const std::string& path) const {
-  HttpResponse r;
-  if (path == "/metrics") {
-    r.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    r.body = metrics_text();
-  } else if (path == "/healthz") {
-    // Drain-aware: flip unhealthy the moment drain begins, so a load
-    // balancer stops routing before the listener actually closes.
-    if (draining()) {
-      r.status = 503;
-      r.body = "draining\n";
-    } else {
-      r.body = "ok\n";
-    }
-  } else if (path == "/statusz") {
-    r.body = statusz_text();
-  } else {
-    r.status = 404;
-    r.body = "not found; routes: /metrics /healthz /statusz\n";
-  }
-  return r;
 }
 
 }  // namespace finehmm::server

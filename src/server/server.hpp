@@ -9,26 +9,21 @@
 // requests queued at any instant into ONE HmmSearch::scan pass per
 // database — N clients cost one sweep, not N (docs/server.md).
 //
-// Threading model (three tiers):
-//   * accept loop     — serve()'s calling thread; exits when the
-//                       listener closes (begin_drain).
-//   * connection threads — one per client: parse frames, construct the
-//                       per-request HmmSearch (profile build +
-//                       calibration happen off the scan path), answer
-//                       PING/STATS inline, and push searches onto the
-//                       admission queue.  try_push failure = immediate
-//                       OVERLOAD reply: the daemon sheds, never stalls.
-//   * scheduler thread — pops the admission queue, gathers up to
-//                       max_batch requests inside coalesce_window_ms,
-//                       groups them by database, drops expired
-//                       deadlines, runs the coalesced scan on the shared
-//                       ThreadPool, and writes each client its result.
+// Threading model: the shell (server/node.hpp) runs the accept loop and
+// one session thread per open connection.  A session thread constructs
+// the per-request HmmSearch (profile build + calibration happen off the
+// scan path) and pushes the search onto the admission queue; try_push
+// failure = immediate OVERLOAD reply: the daemon sheds, never stalls.
+// One scheduler thread, started with the server, pops the admission
+// queue, gathers up to max_batch requests inside coalesce_window_ms,
+// groups them by database, drops expired deadlines, runs the coalesced
+// scan on the shared ThreadPool, and writes each client its result.
 //
 // Drain (SIGTERM): begin_drain() stops the accept loop and flags new
-// SEARCH frames for rejection (kShuttingDown); everything already
+// SEARCH/SCAN frames for rejection (kShuttingDown); everything already
 // admitted still completes because the closed queue keeps delivering
 // accepted items.  serve() returns once the scheduler has drained and
-// every connection thread has joined — telemetry is complete at that
+// every session thread has joined — telemetry is complete at that
 // point, ready to flush.
 #pragma once
 
@@ -49,8 +44,7 @@
 #include "obs/telemetry.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/workload.hpp"
-#include "server/http.hpp"
-#include "server/transport.hpp"
+#include "server/node.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -73,14 +67,6 @@ struct ServerConfig {
   /// Test hook: start with the scheduler paused (set_paused(false) to
   /// release), so tests can deterministically fill the admission queue.
   bool start_paused = false;
-  /// Collect span traces in the server recorder (stage clocks and the
-  /// telemetry snapshot are collected regardless).
-  bool tracing = false;
-  /// Completed requests kept in the trace ring (STATS v2
-  /// `recent_traces`, /statusz).  Request-scoped tracing itself is
-  /// always on — ids, stage attribution, and histograms cost one clock
-  /// read per stage boundary, cheap enough for every request.
-  std::size_t trace_ring_capacity = 64;
   /// Requests slower than this (end to end) dump their per-stage
   /// breakdown through the structured log at warn level, rate-limited.
   /// 0 disables the slow-request log.
@@ -92,21 +78,18 @@ struct ServerConfig {
   std::uint32_t shard_id = 0;  // meaningful when role == kShard
 };
 
-/// Monotonic request/connection accounting ("finehmm.server_stats.v2").
-struct ServerStats {
-  std::uint64_t connections_accepted = 0;
+/// Request accounting ("finehmm.server_stats.v2"), on top of the shell's
+/// connection counters.
+struct ServerStats : NodeStats {
   std::uint64_t requests_admitted = 0;
   std::uint64_t requests_completed = 0;
   std::uint64_t requests_overloaded = 0;         // shed at admission
-  std::uint64_t requests_rejected_draining = 0;  // arrived after drain began
   std::uint64_t requests_deadline_expired = 0;   // queued past their deadline
-  std::uint64_t requests_bad = 0;      // undecodable / unknown db or model
   std::uint64_t requests_failed = 0;   // scan raised server-side
   std::uint64_t batches = 0;           // scheduler gathers
   std::uint64_t db_sweeps = 0;         // coalesced database passes
   std::uint64_t max_batch_size = 0;    // largest single coalesced group
   std::uint64_t responses_dropped = 0; // client gone before its reply
-  std::uint64_t frames_malformed = 0;  // connections torn down on bad bytes
   // SCAN verb (fused many-model sweeps over the resident libraries):
   std::uint64_t scan_requests = 0;       // admitted SCAN requests
   std::uint64_t scan_sweeps = 0;         // fused library sweeps run
@@ -115,13 +98,10 @@ struct ServerStats {
   double scan_lane_occupancy = 0.0;      // cell-weighted mean, 0..1
 };
 
-class SearchServer {
+class SearchServer final : public Node {
  public:
   explicit SearchServer(ServerConfig cfg = {});
-  ~SearchServer();
-
-  SearchServer(const SearchServer&) = delete;
-  SearchServer& operator=(const SearchServer&) = delete;
+  ~SearchServer() override;
 
   // --- Resident data (load before serve(); not thread-safe against it) --
   /// mmap a .fsqdb and keep it resident; returns the db_id clients name.
@@ -134,114 +114,93 @@ class SearchServer {
   /// the number of models loaded.
   std::size_t add_model_library(const std::string& fhpdb_path);
 
-  std::size_t database_count() const { return dbs_.size(); }
-  std::size_t model_count() const { return models_.size(); }
-
-  // --- Lifecycle ------------------------------------------------------
-  /// Run the accept loop on the calling thread; returns after
-  /// begin_drain() once every in-flight request finished and every
-  /// connection thread joined.
-  void serve(Listener& listener);
-
-  /// Initiate graceful shutdown: stop accepting, reject new SEARCH
-  /// frames with kShuttingDown, finish everything already admitted.
-  /// Idempotent; safe from any thread (finehmmd calls it from its
-  /// signal-watcher thread).
-  void begin_drain() FINEHMM_EXCLUDES(state_mu_);
-  bool draining() const FINEHMM_EXCLUDES(state_mu_);
-
+  // --- Lifecycle: serve() / begin_drain() / draining() come from Node --
   /// Test hook: freeze/release the scheduler so tests can stage the
-  /// admission queue deterministically.  begin_drain() releases a pause.
+  /// admission queue deterministically.  Drain releases a pause.
   void set_paused(bool paused) FINEHMM_EXCLUDES(state_mu_);
 
   // --- Observability --------------------------------------------------
-  ServerStats stats() const FINEHMM_EXCLUDES(stats_mu_);
+  ServerStats stats() const FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   /// Batch telemetry aggregated across every coalesced sweep so far
   /// (engine "server"; the `batch.sweeps` / `batch.queries` counters on
   /// the msv stage make coalescing observable).
   obs::ScanTelemetry telemetry() const FINEHMM_EXCLUDES(stats_mu_);
   /// The STATS verb's payload ("finehmm.server_stats.v2"): ServerStats +
   /// latency histogram quantiles + recent request traces + telemetry.
-  std::string stats_json() const FINEHMM_EXCLUDES(stats_mu_);
+  std::string stats_json() const override
+      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  std::string metrics_text() const override
+      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  std::string statusz_text() const override
+      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
 
-  /// Always-on latency snapshots in nanoseconds: end-to-end
-  /// (admission -> reply written), queue wait, and sweep time.
+  /// Always-on end-to-end latency (admission -> reply written), ns.
   obs::Histogram latency_histogram() const { return e2e_hist_.snapshot(); }
-  obs::Histogram queue_wait_histogram() const {
-    return queue_hist_.snapshot();
-  }
-  obs::Histogram sweep_histogram() const { return sweep_hist_.snapshot(); }
 
   /// The most recent completed request traces, oldest first.
   std::vector<obs::RequestTrace> recent_traces() const {
     return trace_ring_.snapshot();
   }
 
-  /// Seconds since construction (monotonic).
-  double uptime_seconds() const;
-
-  /// The embedded HTTP endpoint's router: /metrics (Prometheus text),
-  /// /healthz (drain-aware), /statusz (human-readable snapshot).
-  /// finehmmd wires this into an HttpEndpoint on --metrics-port; safe
-  /// from any thread, any time between construction and destruction.
-  HttpResponse handle_http(const std::string& path) const;
-  std::string metrics_text() const;
-  std::string statusz_text() const;
-
  private:
   struct Db {
     std::unique_ptr<bio::MappedSeqDb> mapped;
     std::unique_ptr<bio::SequenceDatabase> heap;
     pipeline::ScanSchedule schedule;  // cached length-bucketed order
-    std::uint64_t sequences = 0;
-    std::uint64_t residues = 0;
     pipeline::ScanSource view() const {
       return mapped ? pipeline::ScanSource(*mapped)
                     : pipeline::ScanSource(*heap);
     }
   };
 
-  /// One client connection.  The connection thread is the only reader
-  /// of conn (so conn itself needs no guard — a contract, not a lock);
-  /// replies (from it or the scheduler) serialize on write_mu.  On the
-  /// registered lock order (docs/static_analysis.md) write_mu sits
-  /// below state_mu_: serve() holds state_mu_ while calling
-  /// conn->shutdown(), which never takes write_mu.
-  struct Session {
-    std::unique_ptr<Connection> conn;
-
-    Mutex write_mu;
-  };
-
   /// An admitted search waiting for (or riding in) a coalesced sweep.
   /// A SCAN request (is_scan) carries no model of its own: it rides the
   /// fused sweep of the whole resident library instead.
   struct Pending {
+    std::shared_ptr<Session> session;
     std::uint32_t request_id = 0;
     std::uint32_t db_id = 0;
-    std::shared_ptr<pipeline::HmmSearch> search;
+    std::shared_ptr<pipeline::HmmSearch> search{};
     bool is_scan = false;
     double scan_evalue = 10.0;
     std::uint64_t scan_z_override = 0;  // 0 = shard-local Z
-    bool has_deadline = false;
-    std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<Session> session;
+    std::optional<std::chrono::steady_clock::time_point> deadline{};
     // Request-scoped tracing: the id travels with the request from
     // admission through the sweep to the reply; the timestamps become
     // the queue-wait / coalesce-wait spans of its RequestTrace.
     std::uint64_t trace_id = 0;
-    std::chrono::steady_clock::time_point admitted_at;
-    std::chrono::steady_clock::time_point popped_at;
+    std::chrono::steady_clock::time_point admitted_at{};
+    std::chrono::steady_clock::time_point popped_at{};
   };
 
-  void handle_connection(const std::shared_ptr<Session>& session)
+  /// One finished sweep, as each request that rode in it is traced.
+  struct Sweep {
+    const char* verb;
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point end;
+    const obs::ScanTelemetry& telemetry;
+    std::size_t batch_size;
+  };
+
+  void on_search(const std::shared_ptr<Session>& session,
+                 std::uint32_t request_id, SearchRequest req) override
       FINEHMM_EXCLUDES(stats_mu_);
-  void handle_search(const std::shared_ptr<Session>& session,
-                     const Frame& frame)
-      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  void handle_scan(const std::shared_ptr<Session>& session,
-                   const Frame& frame)
-      FINEHMM_EXCLUDES(state_mu_, stats_mu_);
+  void on_scan(const std::shared_ptr<Session>& session,
+               std::uint32_t request_id, ScanRequest req) override
+      FINEHMM_EXCLUDES(stats_mu_);
+  /// Close the admission queue and join the scheduler: everything
+  /// admitted before drain has been answered when this returns.
+  void after_accept_loop() override FINEHMM_EXCLUDES(state_mu_);
+
+  /// Cache the length schedule of a new resident database; its db_id.
+  std::uint32_t adopt(Db db);
+  /// Whether db_id names a resident database; answers the error if not.
+  bool known_db(Session& session, std::uint32_t request_id,
+                std::uint32_t db_id) FINEHMM_EXCLUDES(stats_mu_);
+  /// Stamp and push an admitted request, or shed it with OVERLOAD.
+  void admit(const std::shared_ptr<Pending>& pending,
+             std::uint32_t deadline_ms)
+      FINEHMM_EXCLUDES(stats_mu_);
   void scheduler_loop() FINEHMM_EXCLUDES(state_mu_, stats_mu_);
   /// The coalescer's sweep path: runs with NO server lock held — the
   /// sweep blocks for milliseconds and replies re-enter per-session
@@ -252,23 +211,23 @@ class SearchServer {
   void run_scans(std::uint32_t db_id,
                  const std::vector<std::shared_ptr<Pending>>& group)
       FINEHMM_EXCLUDES(state_mu_, stats_mu_);
-  bool send_reply(Session& session, MsgType type, std::uint32_t request_id,
-                  const std::vector<std::uint8_t>& payload)
-      FINEHMM_EXCLUDES(session.write_mu);
-  void send_error(Session& session, std::uint32_t request_id, ErrorCode code,
-                  const std::string& message)
-      FINEHMM_EXCLUDES(session.write_mu);
+  /// A sweep raised: every request that rode in it fails.
+  void fail_group(const std::vector<std::shared_ptr<Pending>>& group,
+                  const Error& e) FINEHMM_EXCLUDES(stats_mu_);
+  /// Count one request complete, send its reply (encoding is timed as
+  /// serialization), and finish its trace.
+  template <class Wire>
+  void complete(const Pending& p, const Sweep& sweep, MsgType type,
+                const Wire& wire,
+                std::vector<std::uint8_t> (*encode)(const Wire&))
+      FINEHMM_EXCLUDES(stats_mu_);
   void merge_batch_telemetry(const obs::ScanTelemetry& t)
       FINEHMM_EXCLUDES(stats_mu_);
   /// Complete one request's trace: compute its spans from the sweep
   /// timing + its share of the batch's stage busy time, record the
   /// latency histograms, push the ring, and emit the slow-request log.
-  void finish_request_trace(const Pending& p, const char* verb,
-                            std::chrono::steady_clock::time_point sweep_start,
-                            std::chrono::steady_clock::time_point sweep_end,
-                            double serialize_seconds,
-                            const obs::ScanTelemetry& sweep_telemetry,
-                            std::size_t batch_size);
+  void finish_request_trace(const Pending& p, const Sweep& sweep,
+                            double serialize_seconds);
 
   ServerConfig cfg_;
   ThreadPool pool_;
@@ -285,30 +244,26 @@ class SearchServer {
   std::vector<std::string> scan_names_;
   std::optional<hmm::FusePlan> scan_plan_;
 
-  /// Lifecycle lock (order 1 of the registry in docs/static_analysis.md:
-  /// acquired before every other server lock).
-  mutable Mutex state_mu_;
-  bool draining_ FINEHMM_GUARDED_BY(state_mu_) = false;
+  // Node::state_mu_ guards the pause flag; pause_cv_ signals its edges.
   bool paused_ FINEHMM_GUARDED_BY(state_mu_) = false;
-  Listener* listener_ FINEHMM_GUARDED_BY(state_mu_) = nullptr;
-  std::vector<std::weak_ptr<Session>> sessions_ FINEHMM_GUARDED_BY(state_mu_);
-  std::vector<std::thread> conn_threads_ FINEHMM_GUARDED_BY(state_mu_);
+  CondVar pause_cv_;
 
-  CondVar pause_cv_;  // signals paused_ edges; waited on under state_mu_
-
-  mutable Mutex stats_mu_;
+  // Under Node::stats_mu_.  stats_ holds the server's own counters; its
+  // NodeStats part is filled from the shell at snapshot time.
   ServerStats stats_ FINEHMM_GUARDED_BY(stats_mu_);
   obs::ScanTelemetry telemetry_ FINEHMM_GUARDED_BY(stats_mu_);
 
   // Always-on observability.  Histograms record in nanoseconds via
   // relaxed atomic adds (lock-free, zero allocation); the trace ring is
   // mutex-guarded but touched once per completed request.
-  const std::chrono::steady_clock::time_point start_time_ =
-      std::chrono::steady_clock::now();
   obs::ConcurrentHistogram e2e_hist_;
   obs::ConcurrentHistogram queue_hist_;
   obs::ConcurrentHistogram sweep_hist_;
   obs::TraceRing trace_ring_;
+
+  /// Started last in the constructor, joined by after_accept_loop() or
+  /// the destructor.
+  std::thread scheduler_;
 };
 
 }  // namespace finehmm::server

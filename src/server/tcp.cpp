@@ -1,5 +1,7 @@
 #include "server/tcp.hpp"
 
+#include <cstdlib>
+
 #if defined(__unix__) || defined(__APPLE__)
 #define FINEHMM_HAVE_POSIX_SOCKETS 1
 #else
@@ -176,5 +178,17 @@ std::unique_ptr<Connection> tcp_connect(const std::string&, std::uint16_t) {
 }
 
 #endif
+
+bool parse_host_port(const std::string& s, std::string& host,
+                     std::uint16_t& port) {
+  const std::size_t colon = s.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size())
+    return false;
+  const long p = std::atol(s.c_str() + colon + 1);
+  if (p < 1 || p > 65535) return false;
+  host = s.substr(0, colon);
+  port = static_cast<std::uint16_t>(p);
+  return true;
+}
 
 }  // namespace finehmm::server

@@ -39,6 +39,11 @@ class TcpListener final : public Listener {
   std::uint16_t port_ = 0;
 };
 
+/// Split "HOST:PORT"; false when either part is missing or the port is
+/// not a number in [1, 65535].
+bool parse_host_port(const std::string& s, std::string& host,
+                     std::uint16_t& port);
+
 /// Dial `host:port`; throws Error on failure.
 std::unique_ptr<Connection> tcp_connect(const std::string& host,
                                         std::uint16_t port);

@@ -10,6 +10,9 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -212,6 +215,45 @@ TEST(LatencyQuantiles, ReportsTheStandardSet) {
   EXPECT_LE(lq.p50, lq.p90);
   EXPECT_LE(lq.p90, lq.p99);
   EXPECT_LE(lq.p99, lq.p999);
+}
+
+TEST(LatencyWriters, JsonAndPrometheusShowTheSameQuantiles) {
+  // One writer pair serves every daemon's STATS and /metrics, so the
+  // two surfaces must print the same number for the same quantile.
+  obs::Histogram h;
+  for (std::uint64_t v = 1; v <= 5000; ++v) h.record(v * 1000);
+  std::ostringstream json, prom;
+  obs::write_latency_json(json, h);
+  obs::write_latency_prometheus(prom, "lat_seconds", "shard=\"2\"", h);
+  const std::string j = json.str();
+  const std::string p = prom.str();
+  EXPECT_EQ(j.front(), '{');
+  EXPECT_EQ(j.back(), '}');
+  EXPECT_NE(j.find("\"count\": 5000"), std::string::npos);
+  for (const auto& [key, quantile] :
+       {std::pair{"p50", "0.5"}, std::pair{"p90", "0.9"},
+        std::pair{"p99", "0.99"}, std::pair{"p999", "0.999"}}) {
+    const std::string line =
+        std::string("lat_seconds{shard=\"2\",quantile=\"") + quantile +
+        "\"} ";
+    const std::size_t at = p.find(line);
+    ASSERT_NE(at, std::string::npos) << quantile;
+    const std::size_t v = at + line.size();
+    const std::string value = p.substr(v, p.find('\n', v) - v);
+    EXPECT_NE(j.find(std::string("\"") + key + "_seconds\": " + value),
+              std::string::npos)
+        << key << " = " << value;
+  }
+  EXPECT_NE(p.find("lat_seconds_count{shard=\"2\"} 5000\n"),
+            std::string::npos);
+  EXPECT_NE(p.find("lat_seconds_sum{shard=\"2\"} "), std::string::npos);
+
+  // Unlabelled series carry no empty braces on _sum / _count.
+  std::ostringstream bare;
+  obs::write_latency_prometheus(bare, "lat_seconds", "", h);
+  EXPECT_NE(bare.str().find("lat_seconds{quantile=\"0.5\"} "),
+            std::string::npos);
+  EXPECT_NE(bare.str().find("lat_seconds_count 5000\n"), std::string::npos);
 }
 
 }  // namespace

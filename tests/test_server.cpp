@@ -20,12 +20,15 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "bio/seq_db_io.hpp"
+#include "cluster/coordinator.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/model_db.hpp"
 #include "obs/request_trace.hpp"
@@ -34,6 +37,7 @@
 #include "server/client.hpp"
 #include "server/http.hpp"
 #include "server/loopback.hpp"
+#include "server/node.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/transport.hpp"
@@ -1114,6 +1118,219 @@ TEST(SearchServerStress, InterleavedClientsStayConsistent) {
   EXPECT_EQ(fin.requests_admitted,
             fin.requests_completed + fin.requests_deadline_expired +
                 fin.requests_failed);
+}
+
+// ------------------------------------------------- shell conformance
+//
+// The shell (server/node.hpp) is shared by every node type, so each case
+// below runs against a standalone SearchServer, a shard SearchServer and
+// a ClusterCoordinator.  None of the cases needs data: the shell answers
+// before any subclass code would touch a database or a shard.
+
+/// A listener whose close() is held until release(), so a test can talk
+/// to a draining node before serve() shuts its connections down.
+class HeldListener final : public Listener {
+ public:
+  explicit HeldListener(std::unique_ptr<Listener> inner)
+      : inner_(std::move(inner)) {}
+  std::unique_ptr<Connection> accept() override { return inner_->accept(); }
+  void close() override {}
+  void release() { inner_->close(); }
+
+ private:
+  std::unique_ptr<Listener> inner_;
+};
+
+struct StandaloneNode {
+  static constexpr NodeRole kRole = NodeRole::kStandalone;
+  static constexpr std::uint32_t kShardId = 0;
+  static std::unique_ptr<Node> make() {
+    ServerConfig cfg;
+    cfg.scan_threads = 1;
+    return std::make_unique<SearchServer>(cfg);
+  }
+};
+
+struct ShardNode {
+  static constexpr NodeRole kRole = NodeRole::kShard;
+  static constexpr std::uint32_t kShardId = 3;
+  static std::unique_ptr<Node> make() {
+    ServerConfig cfg;
+    cfg.scan_threads = 1;
+    cfg.role = kRole;
+    cfg.shard_id = kShardId;
+    return std::make_unique<SearchServer>(cfg);
+  }
+};
+
+struct CoordinatorNode {
+  static constexpr NodeRole kRole = NodeRole::kCoordinator;
+  static constexpr std::uint32_t kShardId = 0;
+  static std::unique_ptr<Node> make() {
+    cluster::ClusterConfig cfg;
+    cfg.manifest.shards.resize(1);  // never dialled by these cases
+    return std::make_unique<cluster::ClusterCoordinator>(
+        cfg, [](std::size_t) -> std::unique_ptr<Connection> {
+          return nullptr;
+        });
+  }
+};
+
+template <class Kind>
+class NodeShell : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    node_ = Kind::make();
+    listener_ = std::make_unique<HeldListener>(hub_.listener());
+    serve_ = std::thread([this] { node_->serve(*listener_); });
+  }
+
+  void TearDown() override {
+    node_->begin_drain();
+    listener_->release();
+    serve_.join();
+  }
+
+  std::unique_ptr<Connection> connect() { return hub_.connect(); }
+
+  /// Send one frame and read the reply frame.
+  static Frame ask(Connection& conn, MsgType type,
+                   const std::vector<std::uint8_t>& payload) {
+    EXPECT_TRUE(send_frame(conn, type, 7, payload));
+    Frame reply;
+    EXPECT_EQ(recv_frame(conn, reply), RecvStatus::kFrame);
+    return reply;
+  }
+
+  static ErrorCode error_code(const Frame& reply) {
+    EXPECT_EQ(reply.type(), MsgType::kError);
+    return reply.type() == MsgType::kError ? decode_error(reply.payload).code
+                                           : ErrorCode::kInternal;
+  }
+
+  LoopbackHub hub_;
+  std::unique_ptr<Node> node_;
+  std::unique_ptr<HeldListener> listener_;
+  std::thread serve_;
+};
+
+struct NodeKindNames {
+  template <class Kind>
+  static std::string GetName(int) {
+    if (std::is_same_v<Kind, StandaloneNode>) return "SearchServer";
+    if (std::is_same_v<Kind, ShardNode>) return "ShardServer";
+    return "ClusterCoordinator";
+  }
+};
+
+using NodeKinds = ::testing::Types<StandaloneNode, ShardNode, CoordinatorNode>;
+TYPED_TEST_SUITE(NodeShell, NodeKinds, NodeKindNames);
+
+TYPED_TEST(NodeShell, PongCarriesTheNodeRole) {
+  BlockingClient client(this->connect());
+  const std::optional<PingInfo> info = client.ping_info();
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->wire_revision, kWireRevision);
+  EXPECT_EQ(info->role, TypeParam::kRole);
+  EXPECT_EQ(info->shard_id, TypeParam::kShardId);
+}
+
+TYPED_TEST(NodeShell, MalformedFrameClosesOnlyThatConnection) {
+  BlockingClient bystander(this->connect());
+  ASSERT_TRUE(bystander.ping());
+
+  // A garbage header: the connection cannot be re-synchronized.
+  auto garbage = this->connect();
+  const std::uint8_t junk[kFrameHeaderSize] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                               0xFF, 0xFF, 0xFF, 0xFF, 0xFF};
+  ASSERT_TRUE(garbage->send_all(junk, sizeof junk));
+  std::uint8_t scratch[8];
+  EXPECT_EQ(garbage->recv_some(scratch, sizeof scratch), 0u);
+  EXPECT_TRUE(eventually(
+      [&] { return this->node_->node_stats().frames_malformed == 1; }));
+
+  // A frame torn mid-payload counts the same way.
+  auto torn = this->connect();
+  FrameHeader h;
+  h.type = static_cast<std::uint8_t>(MsgType::kSearch);
+  h.payload_len = 4096;
+  std::uint8_t header[kFrameHeaderSize];
+  encode_header(h, header);
+  ASSERT_TRUE(torn->send_all(header, sizeof header));
+  torn->shutdown();
+  EXPECT_TRUE(eventually(
+      [&] { return this->node_->node_stats().frames_malformed == 2; }));
+
+  // The connection opened before either never noticed.
+  EXPECT_TRUE(bystander.ping());
+}
+
+TYPED_TEST(NodeShell, UnknownMessageTypeIsABadRequestAndServingContinues) {
+  auto conn = this->connect();
+  const Frame reply =
+      this->ask(*conn, static_cast<MsgType>(0x7F), {1, 2, 3});
+  EXPECT_EQ(this->error_code(reply), ErrorCode::kBadRequest);
+  EXPECT_EQ(this->ask(*conn, MsgType::kPing, encode_ping(PingInfo{})).type(),
+            MsgType::kPong);
+}
+
+TYPED_TEST(NodeShell, UndecodableSearchAndScanAreBadRequests) {
+  auto conn = this->connect();
+  EXPECT_EQ(this->error_code(this->ask(*conn, MsgType::kSearch, {1, 2, 3})),
+            ErrorCode::kBadRequest);
+  EXPECT_EQ(this->error_code(this->ask(*conn, MsgType::kScan, {1, 2, 3})),
+            ErrorCode::kBadRequest);
+  EXPECT_EQ(this->node_->node_stats().requests_bad, 2u);
+  EXPECT_EQ(this->ask(*conn, MsgType::kPing, encode_ping(PingInfo{})).type(),
+            MsgType::kPong);
+}
+
+TYPED_TEST(NodeShell, DrainRejectsSearchAndScanAndFailsHealthz) {
+  auto conn = this->connect();
+  ASSERT_EQ(this->ask(*conn, MsgType::kPing, encode_ping(PingInfo{})).type(),
+            MsgType::kPong);
+  EXPECT_EQ(this->node_->handle_http("/healthz").status, 200);
+
+  this->node_->begin_drain();
+  EXPECT_TRUE(this->node_->draining());
+  EXPECT_EQ(this->node_->handle_http("/healthz").status, 503);
+
+  SearchRequest search;
+  search.model_kind = ModelRefKind::kPressed;
+  search.model_name = "any";
+  EXPECT_EQ(this->error_code(this->ask(*conn, MsgType::kSearch,
+                                       encode_search_request(search))),
+            ErrorCode::kShuttingDown);
+  EXPECT_EQ(this->error_code(this->ask(*conn, MsgType::kScan,
+                                       encode_scan_request(ScanRequest{}))),
+            ErrorCode::kShuttingDown);
+  EXPECT_EQ(this->node_->node_stats().requests_rejected_draining, 2u);
+}
+
+TYPED_TEST(NodeShell, ClosedConnectionsAreReapedNotHeldUntilDrain) {
+  // Connection churn: every session thread must be joined once its
+  // connection ends, not parked until drain.
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    BlockingClient client(this->connect());
+    ASSERT_TRUE(client.ping()) << i;
+  }  // ~BlockingClient shuts the connection down
+  ASSERT_TRUE(eventually(
+      [&] { return this->node_->node_stats().connections_open == 0; }));
+  // The last session to end waits, unjoined, for the next one to reap it.
+  EXPECT_LE(this->node_->unjoined_threads(), 1u);
+
+  // The STATS probe sees itself as the one open connection.
+  BlockingClient probe(this->connect());
+  const std::optional<std::string> json = probe.stats_json();
+  ASSERT_TRUE(json.has_value());
+  EXPECT_NE(json->find("\"connections_open\": 1,"), std::string::npos);
+  EXPECT_NE(json->find("\"connections_accepted\": " +
+                       std::to_string(kConnections + 1)),
+            std::string::npos);
+  EXPECT_LE(this->node_->unjoined_threads(), 2u);
+  EXPECT_NE(this->node_->metrics_text().find("connections_open 1\n"),
+            std::string::npos);
 }
 
 }  // namespace

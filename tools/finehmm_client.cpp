@@ -56,18 +56,6 @@ void usage() {
                "                      [<model.hmm>]\n");
 }
 
-bool parse_hostport(const std::string& arg, std::string& host,
-                    std::uint16_t& port) {
-  const std::size_t colon = arg.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= arg.size())
-    return false;
-  host = arg.substr(0, colon);
-  const long p = std::atol(arg.c_str() + colon + 1);
-  if (p < 1 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 double percentile(std::vector<double>& sorted_ms, double p) {
   if (sorted_ms.empty()) return 0.0;
   const double rank = p / 100.0 * static_cast<double>(sorted_ms.size() - 1);
@@ -251,7 +239,7 @@ int main(int argc, char** argv) {
 
   std::string host;
   std::uint16_t port = 0;
-  if (hostport.empty() || !parse_hostport(hostport, host, port)) {
+  if (hostport.empty() || !server::parse_host_port(hostport, host, port)) {
     usage();
     return tools::kBadArgs;
   }

@@ -11,37 +11,26 @@
 // every SEARCH/SCAN fans out over all shards and the merged reply is
 // bit-identical to an unsharded scan of the source database.
 //
-// Options:
-//   --host <addr>       IPv4 address to bind (default 127.0.0.1)
-//   --port <n>          TCP port; 0 = kernel-picked (default 0).  Printed
-//                       as "finehmm_clusterd: listening on HOST:PORT".
-//   --metrics-port <n>  serve HTTP /metrics, /healthz, /statusz (0 =
-//                       ephemeral; printed).  Omit to disable.
+// Options (plus the daemon flags every daemon shares: --host, --port,
+// --metrics-port, --pid-file, --log; see DaemonArgs in server/node.hpp):
 //   --no-degraded       fail requests when a shard is unreachable instead
 //                       of serving a flagged partial merge
 //   --retries <n>       connect attempts per shard leg beyond the first
 //                       (default 2; backoff doubles from 5 ms)
-//   --pid-file <f>      write the pid to f (removed on clean exit)
-//   --log <level>       structured JSON log level on stderr (default info)
 //
 // SIGTERM/SIGINT drains gracefully: stop accepting, finish in-flight
 // scatters, then exit 0 after printing the final cluster stats JSON.
 // Exit codes follow examples/tool_exit.hpp.
-#include <pthread.h>
-#include <unistd.h>
-
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
+#include <exception>
+#include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/coordinator.hpp"
-#include "obs/log.hpp"
-#include "server/http.hpp"
+#include "server/node.hpp"
 #include "server/tcp.hpp"
 #include "tool_exit.hpp"
 
@@ -59,62 +48,33 @@ void usage() {
                "[--log level]\n");
 }
 
-struct HostPort {
-  std::string host;
-  std::uint16_t port = 0;
-};
-
-bool parse_host_port(const std::string& s, HostPort& out) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size())
-    return false;
-  out.host = s.substr(0, colon);
-  const long port = std::atol(s.c_str() + colon + 1);
-  if (port <= 0 || port > 65535) return false;
-  out.port = static_cast<std::uint16_t>(port);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  bool metrics = false;
-  std::uint16_t metrics_port = 0;
-  std::string log_level = "info";
-  std::string pid_file;
+  server::DaemonArgs args;
+  args.name = "finehmm_clusterd";
   std::string manifest_path;
-  std::vector<HostPort> shard_addrs;
+  std::vector<std::pair<std::string, std::uint16_t>> shard_addrs;
   cluster::ClusterConfig cfg;
   cfg.require_shard_role = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--manifest" && i + 1 < argc) {
+    if (args.parse_flag(argc, argv, i)) {
+      continue;
+    } else if (arg == "--manifest" && i + 1 < argc) {
       manifest_path = argv[++i];
     } else if (arg == "--shard" && i + 1 < argc) {
-      HostPort hp;
-      if (!parse_host_port(argv[++i], hp)) {
-        std::fprintf(stderr, "finehmm_clusterd: bad --shard '%s'\n", argv[i]);
+      auto& [host, port] = shard_addrs.emplace_back();
+      if (!server::parse_host_port(argv[++i], host, port)) {
+        std::fprintf(stderr, "finehmm_clusterd: bad --shard '%s'\n",
+                     argv[i]);
         return tools::kBadArgs;
       }
-      shard_addrs.push_back(hp);
-    } else if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-    } else if (arg == "--metrics-port" && i + 1 < argc) {
-      metrics = true;
-      metrics_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
     } else if (arg == "--no-degraded") {
       cfg.allow_degraded = false;
     } else if (arg == "--retries" && i + 1 < argc) {
       cfg.connect_retries = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "--pid-file" && i + 1 < argc) {
-      pid_file = argv[++i];
-    } else if (arg == "--log" && i + 1 < argc) {
-      log_level = argv[++i];
     } else {
       usage();
       return tools::kBadArgs;
@@ -124,16 +84,6 @@ int main(int argc, char** argv) {
     usage();
     return tools::kBadArgs;
   }
-
-  // Same signal discipline as finehmmd: block SIGTERM/SIGINT everywhere
-  // before any thread exists so only the watcher sees them.
-  sigset_t sigs;
-  sigemptyset(&sigs);
-  sigaddset(&sigs, SIGTERM);
-  sigaddset(&sigs, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-
-  obs::set_log_level(obs::parse_log_level(log_level));
 
   try {
     cfg.manifest = cluster::read_manifest_file(manifest_path);
@@ -145,67 +95,21 @@ int main(int argc, char** argv) {
       return tools::kBadArgs;
     }
 
-    auto addrs = shard_addrs;  // owned copy for the connect closure
-    cluster::ClusterCoordinator coord(
-        std::move(cfg), [addrs](std::size_t shard) {
-          return server::tcp_connect(addrs[shard].host, addrs[shard].port);
-        });
-
-    const std::size_t up = coord.client().probe_all();
-    std::printf("finehmm_clusterd: %zu/%zu shards answered the probe\n", up,
-                coord.client().shard_count());
-    if (up == 0)
-      std::fprintf(stderr,
-                   "finehmm_clusterd: warning: no shard reachable yet; "
-                   "serving anyway (requests will fail until shards come "
-                   "up)\n");
-
-    server::TcpListener listener(host, port);
-    std::printf("finehmm_clusterd: listening on %s:%u\n", host.c_str(),
-                listener.port());
-
-    std::unique_ptr<server::HttpEndpoint> endpoint;
-    if (metrics) {
-      auto http_listener =
-          std::make_unique<server::TcpListener>(host, metrics_port);
-      std::printf("finehmm_clusterd: metrics on %s:%u\n", host.c_str(),
-                  http_listener->port());
-      endpoint = std::make_unique<server::HttpEndpoint>(
-          std::move(http_listener), [&coord](const std::string& path) {
-            return coord.handle_http(path);
+    server::run_daemon(args, [&]() -> std::unique_ptr<server::Node> {
+      auto coord = std::make_unique<cluster::ClusterCoordinator>(
+          std::move(cfg), [addrs = shard_addrs](std::size_t shard) {
+            return server::tcp_connect(addrs[shard].first, addrs[shard].second);
           });
-    }
-    std::fflush(stdout);  // scripts scrape the lines while we serve
-
-    obs::log(obs::LogLevel::kInfo, "cluster.start",
-             {{"host", host},
-              {"port", static_cast<std::uint64_t>(listener.port())},
-              {"shards",
-               static_cast<std::uint64_t>(coord.client().shard_count())},
-              {"shards_up", static_cast<std::uint64_t>(up)}});
-
-    if (!pid_file.empty()) {
-      std::ofstream pf(pid_file);
-      if (!pf.good()) throw IoError("cannot open pid file: " + pid_file);
-      pf << ::getpid() << "\n";
-    }
-
-    std::thread watcher([&sigs, &coord] {
-      int sig = 0;
-      sigwait(&sigs, &sig);
-      std::fprintf(stderr, "finehmm_clusterd: signal %d, draining\n", sig);
-      coord.begin_drain();
+      const std::size_t up = coord->client().probe_all();
+      std::printf("finehmm_clusterd: %zu/%zu shards answered the probe\n", up,
+                  coord->client().shard_count());
+      if (up == 0)
+        std::fprintf(stderr,
+                     "finehmm_clusterd: warning: no shard reachable yet; "
+                     "serving anyway (requests will fail until shards come "
+                     "up)\n");
+      return coord;
     });
-
-    coord.serve(listener);  // returns once drained and joined
-    watcher.join();
-    if (endpoint) endpoint->stop();
-    obs::log(obs::LogLevel::kInfo, "cluster.stop",
-             {{"uptime_seconds", coord.uptime_seconds()}});
-
-    std::cout << coord.stats_json();
-    if (!pid_file.empty()) std::remove(pid_file.c_str());
-    std::printf("finehmm_clusterd: drained, bye\n");
   } catch (const std::exception& e) {
     return tools::report_exception(e);
   }
