@@ -8,8 +8,10 @@
 // ThreadPool's chunked dynamic scheduler — the same path the CPU engines
 // use — so the numbers include real length imbalance and scheduling
 // overhead.  Results are written to BENCH_throughput.json (machine
-// readable; cells/sec per stage x tier x threads, and per pipeline
-// engine x threads, with host info) for the roadmap's evidence trail.
+// readable; cells/sec per stage x tier x threads — including the
+// single-thread M=400 "trace" rows and their "scalar" reference — and per
+// pipeline engine x threads, with host info) for the roadmap's evidence
+// trail.
 //
 // Usage: bench_throughput [db_scale] [model_length] [out.json]
 //   db_scale default 0.001 (~460 sequences), model_length default 400.
@@ -30,6 +32,7 @@
 #include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/trace.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/model_group.hpp"
 #include "hmm/profile.hpp"
@@ -311,6 +314,44 @@ std::vector<PipelineRecord> bench_pipeline(double scale, int M,
   return records;
 }
 
+/// The Viterbi traceback behind null2 (one per Forward survivor): one
+/// thread, M = 400 whatever the stage sweep's model length, over the
+/// first `n` sequences — a "trace" row per supported tier plus the scalar
+/// reference (tier "scalar") for the speedup.
+std::vector<Record> bench_trace(const bio::SequenceDatabase& db,
+                                std::size_t n) {
+  const int M = 400;
+  const auto model = hmm::paper_model(M);
+  const hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
+  double cells = 0;
+  for (std::size_t s = 0; s < n; ++s)
+    cells += static_cast<double>(db[s].length()) * M;
+  auto timed = [&](const char* tier, auto&& trace_one) {
+    trace_one(0);  // warm-up: grows the workspace
+    Timer timer;
+    for (std::size_t s = 0; s < n; ++s) trace_one(s);
+    return Record{"trace", tier, 1, cells, timer.seconds()};
+  };
+
+  std::vector<Record> out;
+  for (cpu::SimdTier tier : cpu::supported_simd_tiers()) {
+    const cpu::TraceStripes stripes(prof, tier);
+    cpu::TraceWorkspace ws;
+    out.push_back(timed(cpu::simd_tier_name(tier), [&](std::size_t s) {
+      cpu::viterbi_trace(stripes, db[s].codes.data(), db[s].length(), ws);
+    }));
+  }
+  out.push_back(timed("scalar", [&](std::size_t s) {
+    cpu::viterbi_trace(prof, db[s].codes.data(), db[s].length());
+  }));
+  const double scalar = out.back().cells_per_sec();
+  for (const auto& r : out)
+    std::printf("trace M=%d tier=%-8s threads=1  %.3g cells/s (%.1fx scalar)\n",
+                M, r.tier, r.cells_per_sec(),
+                obs::safe_rate(r.cells_per_sec(), scalar));
+  return out;
+}
+
 /// The hmmscan dual: many short models, one database.  Times 32
 /// per-model scans against ONE lane-packed fused sweep (run_cpu_fused)
 /// on the same pool, asserts the per-model hit lists bit-identical, and
@@ -482,6 +523,8 @@ int main(int argc, char** argv) {
     }
   }
   cpu::reset_simd_tier();
+
+  for (const auto& r : bench_trace(db, n_word)) records.push_back(r);
 
   // Full-pipeline end-to-end: heap-parallel vs. mmap-overlapped engines
   // at double the stage-sweep database scale (still interactive).

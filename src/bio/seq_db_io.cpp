@@ -6,6 +6,7 @@
 #include <ostream>
 #include <utility>
 
+#include "bio/alphabet.hpp"
 #include "bio/packing.hpp"
 #include "util/error.hpp"
 
@@ -32,6 +33,40 @@ constexpr std::uint32_t kMaxSeqLen = 1u << 28;
 std::size_t words_for(std::uint32_t length) {
   // pack_residues emits one pad word for empty sequences.
   return length == 0 ? 1 : (length + kResiduesPerWord - 1) / kResiduesPerWord;
+}
+
+// Word-at-a-time residue validation.  A 5-bit code is >= 29 (invalid)
+// exactly when its bits 4, 3 and 2 are set and bit 1 or bit 0 is, so
+// shifting those bits down onto each field's bit 0 and AND-ing tests all
+// six fields of a word at once.
+static_assert(kKp == 29 && kBitsPerResidue == 5 && kResiduesPerWord == 6,
+              "invalid_fields tests for codes 29..31 in six 5-bit fields");
+/// Bit 0 of each of the six residue fields (bits 0, 5, 10, 15, 20, 25).
+constexpr std::uint32_t kFieldLowBits = 0x02108421u;
+
+/// Nonzero when a residue field selected by `fields` (a subset of
+/// kFieldLowBits) holds a code >= kKp.
+constexpr std::uint32_t invalid_fields(std::uint32_t w, std::uint32_t fields) {
+  return (w >> 2) & (w >> 3) & (w >> 4) & ((w >> 1) | w) & fields;
+}
+
+/// True when all `length` residues in the packed words at `p` are valid
+/// codes; pad fields past the length are not inspected.
+bool residues_valid(const unsigned char* p, std::uint32_t length) {
+  const std::size_t full = length / kResiduesPerWord;
+  std::uint32_t bad = 0;
+  for (std::size_t i = 0; i < full; ++i) {
+    std::uint32_t w;
+    std::memcpy(&w, p + i * sizeof(w), sizeof(w));
+    bad |= invalid_fields(w, kFieldLowBits);
+  }
+  if (const std::size_t rem = length % kResiduesPerWord; rem != 0) {
+    std::uint32_t w;
+    std::memcpy(&w, p + full * sizeof(w), sizeof(w));
+    const std::uint32_t live = (1u << (rem * kBitsPerResidue)) - 1;
+    bad |= invalid_fields(w, kFieldLowBits & live);
+  }
+  return bad == 0;
 }
 
 template <class T>
@@ -298,12 +333,9 @@ void MappedSeqDb::parse_and_validate(const std::string& path) {
   // Validate every residue code once so scan kernels can index emission
   // tables straight from the packed stream.
   for (std::uint64_t i = 0; i < count; ++i) {
-    PackedResidues packed(base_ + index_[i].word_offset);
-    for (std::uint32_t r = 0; r < index_[i].length; ++r) {
-      FH_REQUIRE(is_valid(packed[r]),
-                 "corrupt residue code in sequence database: " + path +
-                     " (sequence " + std::to_string(i) + ")");
-    }
+    FH_REQUIRE(residues_valid(base_ + index_[i].word_offset, index_[i].length),
+               "corrupt residue code in sequence database: " + path +
+                   " (sequence " + std::to_string(i) + ")");
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "cpu/simd_backend/denormals.hpp"
 #include "cpu/simd_backend/kernels.hpp"
@@ -102,20 +101,13 @@ float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
   }
 
   // The profile's own arrays already are the 4-lane striping; wider tiers
-  // re-stripe once per (profile, tier) and reuse across calls.
+  // re-stripe on every call.  Nothing is cached: a later profile can be
+  // built at this profile's address.
   if (ops.f32_lanes == profile::FwdProfile::kLanes)
     return ops.fwd(prof, backend::fwd_native_view(prof), seq, L,
                    mmx.data(), imx.data(), dmx.data());
-
-  thread_local const profile::FwdProfile* cached_prof = nullptr;
-  thread_local SimdTier cached_tier = SimdTier::kPortable;
-  thread_local std::optional<WideFwdStripes> wide;
-  if (cached_prof != &prof || cached_tier != ops.tier || !wide) {
-    wide.emplace(prof, ops.f32_lanes);
-    cached_prof = &prof;
-    cached_tier = ops.tier;
-  }
-  return ops.fwd(prof, wide->view(), seq, L, mmx.data(), imx.data(),
+  const WideFwdStripes wide(prof, ops.f32_lanes);
+  return ops.fwd(prof, wide.view(), seq, L, mmx.data(), imx.data(),
                  dmx.data());
 }
 

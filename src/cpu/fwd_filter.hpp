@@ -80,10 +80,10 @@ class FwdFilter {
 };
 
 /// One-shot convenience wrapper honouring the active tier (including env
-/// and programmatic overrides).  Uses thread-local scratch — and, for
-/// tiers wider than the profile's native 4-lane layout, a thread-local
-/// re-striping cached per (profile, tier) — grown or rebuilt only on
-/// change, so steady-state database scans allocate nothing per call.
+/// and programmatic overrides).  DP rows are thread-local scratch, grown
+/// only on change; tiers wider than the profile's native 4-lane layout
+/// re-stripe the parameters on every call.  Code scoring many sequences
+/// against one model uses a FwdFilter, which stripes once.
 float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
                   std::size_t L);
 

@@ -18,6 +18,8 @@
 //     (cpu::WideVitStripes<N>; SSE2 uses vit_native_view below).
 //   * fwd / fwd_bwd take a FwdStripesView built for the tier's float lane
 //     count (cpu::WideFwdStripes).
+//   * trace takes a TraceStripesView built for the tier's float lane
+//     count (cpu::TraceStripes) plus the length model's special scores.
 //
 // tier_kernels() maps a SimdTier to its function-pointer row, so the
 // filter classes resolve MSV/SSV/Viterbi/Forward/Backward through one
@@ -104,6 +106,9 @@ float fwd_bwd_sse2(const profile::FwdProfile& prof,
                    const simd_kernels::FwdStripesView& st,
                    const std::uint8_t* seq, std::size_t L,
                    const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float trace_sse2(const simd_kernels::TraceStripesView& st,
+                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                 std::size_t L, const simd_kernels::TraceScratch& ws);
 
 // Zero-copy overloads for the database scan path: the sequence is a packed
 // 5-bit residue view (typically into an mmap'd .fsqdb), consumed in place.
@@ -159,6 +164,9 @@ float fwd_bwd_avx2(const profile::FwdProfile& prof,
                    const simd_kernels::FwdStripesView& st,
                    const std::uint8_t* seq, std::size_t L,
                    const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float trace_avx2(const simd_kernels::TraceStripesView& st,
+                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                 std::size_t L, const simd_kernels::TraceScratch& ws);
 
 // Packed-residue (zero-copy) overloads; see the SSE2 notes above.
 FilterResult msv_avx2(const profile::MsvProfile& prof,
@@ -209,6 +217,9 @@ float fwd_bwd_avx512(const profile::FwdProfile& prof,
                      const simd_kernels::FwdStripesView& st,
                      const std::uint8_t* seq, std::size_t L,
                      const simd_kernels::FwdBwdScratch& ws, float* mocc);
+float trace_avx512(const simd_kernels::TraceStripesView& st,
+                   const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                   std::size_t L, const simd_kernels::TraceScratch& ws);
 
 FilterResult msv_avx512(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q,
@@ -273,6 +284,9 @@ struct TierKernels {
                    const simd_kernels::FwdStripesView&,
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) = nullptr;
+  float (*trace)(const simd_kernels::TraceStripesView&,
+                 const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
+                 const simd_kernels::TraceScratch&) = nullptr;
 
   // Fused multi-model sweeps: one call scores every member of a packed
   // group (results come back through MsvGroupState's xj/overflowed).

@@ -66,6 +66,12 @@ float fwd_bwd_avx2(const profile::FwdProfile& prof,
                                                 mocc);
 }
 
+float trace_avx2(const simd_kernels::TraceStripesView& st,
+                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                 std::size_t L, const simd_kernels::TraceScratch& ws) {
+  return simd_kernels::trace_kernel<AvxF32x8>(st, xs, seq, L, ws);
+}
+
 FilterResult msv_avx2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       bio::PackedResidues seq, std::size_t L,
@@ -135,6 +141,11 @@ float fwd_bwd_avx2(const profile::FwdProfile&,
                    const simd_kernels::FwdStripesView&,
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) {
+  throw Error("AVX2 backend not compiled into this binary");
+}
+float trace_avx2(const simd_kernels::TraceStripesView&,
+                 const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
+                 const simd_kernels::TraceScratch&) {
   throw Error("AVX2 backend not compiled into this binary");
 }
 FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,

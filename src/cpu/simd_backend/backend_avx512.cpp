@@ -72,6 +72,12 @@ float fwd_bwd_avx512(const profile::FwdProfile& prof,
                                                     mocc);
 }
 
+float trace_avx512(const simd_kernels::TraceStripesView& st,
+                   const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                   std::size_t L, const simd_kernels::TraceScratch& ws) {
+  return simd_kernels::trace_kernel<Avx512F32x16>(st, xs, seq, L, ws);
+}
+
 FilterResult msv_avx512(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q,
                         bio::PackedResidues seq, std::size_t L,
@@ -143,6 +149,11 @@ float fwd_bwd_avx512(const profile::FwdProfile&,
                      const simd_kernels::FwdStripesView&,
                      const std::uint8_t*, std::size_t,
                      const simd_kernels::FwdBwdScratch&, float*) {
+  throw Error("AVX-512 backend not compiled into this binary");
+}
+float trace_avx512(const simd_kernels::TraceStripesView&,
+                   const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
+                   const simd_kernels::TraceScratch&) {
   throw Error("AVX-512 backend not compiled into this binary");
 }
 FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,

@@ -57,6 +57,12 @@ float fwd_bwd_sse2(const profile::FwdProfile& prof,
                                                 mocc);
 }
 
+float trace_sse2(const simd_kernels::TraceStripesView& st,
+                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                 std::size_t L, const simd_kernels::TraceScratch& ws) {
+  return simd_kernels::trace_kernel<SseF32x4>(st, xs, seq, L, ws);
+}
+
 FilterResult msv_sse2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       bio::PackedResidues seq, std::size_t L,
@@ -126,6 +132,11 @@ float fwd_bwd_sse2(const profile::FwdProfile&,
                    const simd_kernels::FwdStripesView&,
                    const std::uint8_t*, std::size_t,
                    const simd_kernels::FwdBwdScratch&, float*) {
+  throw Error("SSE2 backend not available on this target");
+}
+float trace_sse2(const simd_kernels::TraceStripesView&,
+                 const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
+                 const simd_kernels::TraceScratch&) {
   throw Error("SSE2 backend not available on this target");
 }
 FilterResult msv_sse2(const profile::MsvProfile&, const std::uint8_t*, int,

@@ -70,6 +70,12 @@ float fwd_bwd_portable(const profile::FwdProfile& prof,
   return simd_kernels::fwd_bwd_kernel<F32x4>(prof, st, seq, L, ws, mocc);
 }
 
+float trace_portable(const simd_kernels::TraceStripesView& st,
+                     const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                     std::size_t L, const simd_kernels::TraceScratch& ws) {
+  return simd_kernels::trace_kernel<F32x4>(st, xs, seq, L, ws);
+}
+
 void msv_group_portable(const simd_kernels::MsvGroupView& g,
                         const simd_kernels::MsvGroupState& st,
                         const std::uint8_t* seq, std::size_t L,
@@ -102,8 +108,9 @@ constexpr TierKernels kTable[] = {
     {SimdTier::kPortable, 16, 8, 4,
      &msv_portable, &msv_portable_packed, &ssv_portable,
      &ssv_portable_packed, &vit_portable, &fwd_portable,
-     &fwd_bwd_portable, &msv_group_portable, &msv_group_portable_packed,
-     &ssv_group_portable, &ssv_group_portable_packed},
+     &fwd_bwd_portable, &trace_portable, &msv_group_portable,
+     &msv_group_portable_packed, &ssv_group_portable,
+     &ssv_group_portable_packed},
     {SimdTier::kSse2, 16, 8, 4,
      [](const profile::MsvProfile& p, const std::uint8_t* r, int q,
         const std::uint8_t* s, std::size_t l, std::uint8_t* w) {
@@ -121,7 +128,7 @@ constexpr TierKernels kTable[] = {
         bio::PackedResidues s, std::size_t l, std::uint8_t* w) {
        return ssv_sse2(p, r, q, s, l, w);
      },
-     &vit_sse2, &fwd_sse2, &fwd_bwd_sse2,
+     &vit_sse2, &fwd_sse2, &fwd_bwd_sse2, &trace_sse2,
      [](const simd_kernels::MsvGroupView& g,
         const simd_kernels::MsvGroupState& st, const std::uint8_t* s,
         std::size_t l, std::uint8_t* w) { msv_group_sse2(g, st, s, l, w); },
@@ -151,7 +158,7 @@ constexpr TierKernels kTable[] = {
         bio::PackedResidues s, std::size_t l, std::uint8_t* w) {
        return ssv_avx2(p, r, q, s, l, w);
      },
-     &vit_avx2, &fwd_avx2, &fwd_bwd_avx2,
+     &vit_avx2, &fwd_avx2, &fwd_bwd_avx2, &trace_avx2,
      [](const simd_kernels::MsvGroupView& g,
         const simd_kernels::MsvGroupState& st, const std::uint8_t* s,
         std::size_t l, std::uint8_t* w) { msv_group_avx2(g, st, s, l, w); },
@@ -181,7 +188,7 @@ constexpr TierKernels kTable[] = {
         bio::PackedResidues s, std::size_t l, std::uint8_t* w) {
        return ssv_avx512(p, r, q, s, l, w);
      },
-     &vit_avx512, &fwd_avx512, &fwd_bwd_avx512,
+     &vit_avx512, &fwd_avx512, &fwd_bwd_avx512, &trace_avx512,
      [](const simd_kernels::MsvGroupView& g,
         const simd_kernels::MsvGroupState& st, const std::uint8_t* s,
         std::size_t l, std::uint8_t* w) {

@@ -4,8 +4,9 @@
 // templated on a vector class V that supplies the lane operations via
 // ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8 for
 // bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
-// add_f/mul_f/hsum_f/shift_lanes_down for floats; shift_lanes_up for
-// all).  The portable classes (cpu/simd_vec.hpp, cpu/msv_wide.hpp,
+// add_f/mul_f/hsum_f/shift_lanes_down for floats, plus gt_f/select_f/
+// pack_nibbles and a filled shift_lanes_up for the trace kernel;
+// shift_lanes_up for all).  The portable classes (cpu/simd_vec.hpp, cpu/msv_wide.hpp,
 // cpu/vit_wide.hpp, cpu/fwd_wide.hpp) and the native SSE2/AVX2/AVX-512
 // wrappers (vec_sse2.hpp, vec_avx2.hpp, vec_avx512.hpp) all satisfy the
 // same contract, so every tier executes literally the same algorithm —
@@ -23,12 +24,14 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 
 #include "cpu/filter_result.hpp"
+#include "hmm/profile.hpp"
 #include "profile/fwd_profile.hpp"
 #include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
@@ -968,6 +971,304 @@ float fwd_bwd_kernel(const profile::FwdProfile& prof,
   }
 
   return static_cast<float>(total);
+}
+
+// ---------------------------------------------------------------------
+// Striped log-odds Viterbi with backpointers (the traceback behind the
+// null2 correction and alignment rendering).
+//
+// Bit-exactness with the scalar reference (cpu::viterbi_trace without a
+// workspace) is structural, not empirical:
+//   * Every cell is computed from the same operands with the same IEEE
+//     float adds; there is no multiply, so no FMA contraction can apply.
+//   * Tie rules are the reference's.  The M predecessor is a running
+//     strict-greater argmax over B, M, I, D in that order (first index
+//     of the maximum).  I, D, J, C and B take `a < b ? b : a` — that is
+//     std::max(a, b), signed zero included — and their backpointer bit
+//     is set exactly when `a < b`.  select_f(gt_f(b, a), b, a) spells
+//     the same thing lane-wise.
+//   * The exit argmax is a strict-greater running max per lane (within
+//     a lane, k grows with the stripe index), reduced across lanes in
+//     lane order: the first k of the row maximum, as the reference's
+//     k-ascending scan finds it.
+//   * The D chain.  D(k) = max(dm(k), dd(k)) with dm(k) = M(k-1) + tMD
+//     final once the M sweep is done, and dd(k) = D(k-1) + tDD.  The
+//     sweep runs the chain inside each lane's stripes, starting every
+//     stripe-0 cell at -inf; stripe 0 is then rebuilt from the finished
+//     M(Q-1) and the provisional D(Q-1), and Lazy-F wrap passes push
+//     D(k-1) + tDD forward wherever it is strictly greater, stopping at
+//     the first stripe where no lane improves.  Float addition is
+//     monotone — fl(max(a,b) + t) == max(fl(a+t), fl(b+t)) — so a
+//     provisional D never exceeds the reference's, every carry is a
+//     lower bound of the reference's dd(k), and at the fixpoint each
+//     cell holds exactly the reference's max(dm, dd).  The D bit follows
+//     the same argument: a carry that wins is > dm, so the reference
+//     sets the bit there too (bits only ever go 0 -> 1); a cell no carry
+//     beats keeps the value, and bit, the sweep gave it.
+// ---------------------------------------------------------------------
+
+/// Row order of one stripe's transition vectors in TraceStripesView::tsc.
+/// "In" rows hold the transition into position k, "at" rows the one
+/// leaving k.
+enum TraceTransition : int {
+  kTraceBM,  // in: B -> M_k (tsc(k-1, BM))
+  kTraceMM,  // in: M_{k-1} -> M_k
+  kTraceIM,  // in: I_{k-1} -> M_k
+  kTraceDM,  // in: D_{k-1} -> M_k
+  kTraceMI,  // at: M_k -> I_k
+  kTraceII,  // at: I_k -> I_k
+  kTraceMD,  // in: M_{k-1} -> D_k
+  kTraceDD,  // in: D_{k-1} -> D_k
+  kTraceME,  // at: M_k -> E
+  kTraceTransitions
+};
+
+/// The striped log-odds parameters the trace kernel reads, laid out for
+/// one float lane count N; position k sits at stripe (k-1)%Q, lane
+/// (k-1)/Q.  msc holds residue x's emission stripes at msc + x*Q*N.  tsc
+/// interleaves the transitions HMMER-style: stripe q's kTraceTransitions
+/// vectors are contiguous, row r at tsc + (q*kTraceTransitions + r)*N, so
+/// one pointer walks them all.  Every slot that must not contribute holds
+/// -inf: padding past M, the I transitions at k = M and the D transitions
+/// into k = 1 — which is how the reference's forced -inf cells come out
+/// of the same arithmetic.
+struct TraceStripesView {
+  const float* msc = nullptr;
+  const float* tsc = nullptr;
+  int Q = 0;
+};
+
+/// Caller-owned storage for one trace.  mmx/imx/dmx hold one DP row of
+/// Q*N floats each (updated in place).  bp holds L+1 rows of Q*N/2
+/// bytes: one nibble per cell in striped order (slot s in byte s/2, low
+/// nibble when s is even) — the match predecessor in bits 0-1, the insert
+/// choice in bit 2, the delete choice in bit 3.  be/bj/bc/bb hold L+1
+/// entries: the row's exit node and the J, C and B choices.
+struct TraceScratch {
+  float* mmx = nullptr;
+  float* imx = nullptr;
+  float* dmx = nullptr;
+  std::uint8_t* bp = nullptr;
+  int* be = nullptr;
+  std::uint8_t* bj = nullptr;
+  std::uint8_t* bc = nullptr;
+  std::uint8_t* bb = nullptr;
+};
+
+/// Store / OR the low N/2 bytes of a pack_nibbles result (lane 0's
+/// nibble first), as one store on little-endian hosts.
+template <int N>
+inline void store_nibbles(std::uint8_t* dst, std::uint64_t bits) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, &bits, N / 2);
+  } else {
+    for (int b = 0; b < N / 2; ++b)
+      dst[b] = static_cast<std::uint8_t>(bits >> (8 * b));
+  }
+}
+template <int N>
+inline void or_nibbles(std::uint8_t* dst, std::uint64_t bits) {
+  for (int b = 0; b < N / 2; ++b)
+    dst[b] = static_cast<std::uint8_t>(dst[b] | (bits >> (8 * b)));
+}
+
+/// Striped Viterbi with backpointers over N = V::kLanes float lanes.
+/// Fills the scratch backpointers and returns the Viterbi score (nats);
+/// the caller walks the pointers back (cpu/trace.cpp).
+template <class V>
+float trace_kernel(const TraceStripesView& stripes,
+                   const hmm::SpecialScores& xs, const std::uint8_t* seq,
+                   std::size_t L, const TraceScratch& scratch) {
+  constexpr int N = V::kLanes;
+  // Work on local copies: the backpointer stores are byte stores, which
+  // may alias anything behind a reference, so reading the pointers
+  // through the references would reload each of them after every store.
+  const TraceStripesView st = stripes;
+  const TraceScratch ws = scratch;
+  static_assert(N % 2 == 0 && N <= 16, "one nibble per lane, 64-bit packs");
+  FINEHMM_CHECK(L >= 1, "cannot trace an empty sequence");
+  const int Q = st.Q;
+  const std::size_t n = static_cast<std::size_t>(Q) * N;
+  const std::size_t row_bytes = n / 2;
+  auto stripe = [](float* v, int q) {
+    return v + static_cast<std::size_t>(q) * N;
+  };
+  auto nibbles = [](std::uint8_t* row, int q) {
+    return row + static_cast<std::size_t>(q) * (N / 2);
+  };
+  auto tsc = [&st](int q) {
+    return st.tsc + static_cast<std::size_t>(q) * kTraceTransitions * N;
+  };
+
+  const V ninf = V::splat(kNegInf);
+  const V zero = V::splat(0.0f);
+  const V one = V::splat(1.0f);
+  const V two = V::splat(2.0f);
+  const V three = V::splat(3.0f);
+  const V four = V::splat(4.0f);
+  const V eight = V::splat(8.0f);
+
+  std::fill(ws.mmx, ws.mmx + n, kNegInf);
+  std::fill(ws.imx, ws.imx + n, kNegInf);
+  std::fill(ws.dmx, ws.dmx + n, kNegInf);
+
+  // Special-state values only feed the next row, so they live in scalars;
+  // the per-row choices (all the traceback reads) are kept.
+  float vN = 0.0f;
+  float vB = xs.n_move;
+  float vJ = kNegInf;
+  float vC = kNegInf;
+  ws.bb[0] = 0;
+
+  for (std::size_t i = 1; i <= L; ++i) {
+    const float* msr = st.msc + static_cast<std::size_t>(seq[i - 1]) * n;
+    std::uint8_t* bp_row = ws.bp + i * row_bytes;
+    const V xBv = V::splat(vB);
+    V xEv = ninf;  // per-lane best exit score ...
+    V xQv = zero;  // ... and the stripe it came from
+    V qv = zero;   // this stripe's index, in every lane
+
+    // Previous row's last stripe, lanes shifted up = the diagonal.
+    V mpv = shift_lanes_up(V::load(stripe(ws.mmx, Q - 1)), kNegInf);
+    V ipv = shift_lanes_up(V::load(stripe(ws.imx, Q - 1)), kNegInf);
+    V dpv = shift_lanes_up(V::load(stripe(ws.dmx, Q - 1)), kNegInf);
+    // This row's M and D one stripe back, same lane (the in-lane D chain).
+    V m_left = ninf;
+    V d_left = ninf;
+
+    for (int q = 0; q < Q; ++q) {
+      const std::size_t off = static_cast<std::size_t>(q) * N;
+      const float* t = tsc(q);
+      // Match: B / M / I / D predecessors from row i-1.
+      V bv = add_f(xBv, V::load(t + kTraceBM * N));
+      V c = add_f(mpv, V::load(t + kTraceMM * N));
+      auto gt = gt_f(c, bv);
+      bv = select_f(gt, c, bv);
+      V code = select_f(gt, one, zero);
+      c = add_f(ipv, V::load(t + kTraceIM * N));
+      gt = gt_f(c, bv);
+      bv = select_f(gt, c, bv);
+      code = select_f(gt, two, code);
+      c = add_f(dpv, V::load(t + kTraceDM * N));
+      gt = gt_f(c, bv);
+      bv = select_f(gt, c, bv);
+      code = select_f(gt, three, code);
+      const V mv = add_f(bv, V::load(msr + off));
+
+      const V ex = add_f(mv, V::load(t + kTraceME * N));
+      gt = gt_f(ex, xEv);
+      xEv = select_f(gt, ex, xEv);
+      xQv = select_f(gt, qv, xQv);
+      qv = add_f(qv, one);
+
+      // Stash previous-row stripes before overwriting (double buffer).
+      mpv = V::load(stripe(ws.mmx, q));
+      ipv = V::load(stripe(ws.imx, q));
+      dpv = V::load(stripe(ws.dmx, q));
+
+      const V im = add_f(mpv, V::load(t + kTraceMI * N));
+      const V ii = add_f(ipv, V::load(t + kTraceII * N));
+      gt = gt_f(ii, im);
+      const V iv = select_f(gt, ii, im);
+      code = select_f(gt, add_f(code, four), code);
+
+      const V dm = add_f(m_left, V::load(t + kTraceMD * N));
+      const V dd = add_f(d_left, V::load(t + kTraceDD * N));
+      gt = gt_f(dd, dm);
+      const V dv = select_f(gt, dd, dm);
+      code = select_f(gt, add_f(code, eight), code);
+
+      mv.store(stripe(ws.mmx, q));
+      iv.store(stripe(ws.imx, q));
+      dv.store(stripe(ws.dmx, q));
+      store_nibbles<N>(nibbles(bp_row, q), pack_nibbles(code));
+      m_left = mv;
+      d_left = dv;
+    }
+
+    // Stripe 0's D from the previous lane's finished M(Q-1) and its
+    // provisional D(Q-1); the sweep left these cells at -inf, bit clear.
+    V dcur;
+    {
+      const V dm = add_f(shift_lanes_up(V::load(stripe(ws.mmx, Q - 1)),
+                                        kNegInf),
+                         V::load(tsc(0) + kTraceMD * N));
+      const V dd = add_f(shift_lanes_up(V::load(stripe(ws.dmx, Q - 1)),
+                                        kNegInf),
+                         V::load(tsc(0) + kTraceDD * N));
+      const auto gt = gt_f(dd, dm);
+      dcur = select_f(gt, dd, dm);
+      dcur.store(stripe(ws.dmx, 0));
+      or_nibbles<N>(nibbles(bp_row, 0), pack_nibbles(select_f(gt, eight, zero)));
+    }
+    // Lazy-F: carry D(k-1) + tDD forward, wrapping into the next lane,
+    // until a stripe where no lane improves.
+    for (int q = 0;;) {
+      int nq = q + 1;
+      V carry;
+      if (nq == Q) {
+        nq = 0;
+        carry = add_f(shift_lanes_up(dcur, kNegInf),
+                      V::load(tsc(0) + kTraceDD * N));
+      } else {
+        carry = add_f(dcur, V::load(tsc(nq) + kTraceDD * N));
+      }
+      const V cur = V::load(stripe(ws.dmx, nq));
+      const auto gt = gt_f(carry, cur);
+      const std::uint64_t dbits = pack_nibbles(select_f(gt, eight, zero));
+      if (dbits == 0) break;
+      dcur = select_f(gt, carry, cur);
+      dcur.store(stripe(ws.dmx, nq));
+      or_nibbles<N>(nibbles(bp_row, nq), dbits);
+      q = nq;
+    }
+
+#if FINEHMM_CHECKS_ENABLED
+    // Fixpoint: no D(k-1) + tDD anywhere in the row beats D(k).
+    for (int q = 0; q < Q; ++q) {
+      const V prev = q == 0 ? shift_lanes_up(V::load(stripe(ws.dmx, Q - 1)),
+                                             kNegInf)
+                            : V::load(stripe(ws.dmx, q - 1));
+      const V carry = add_f(prev, V::load(tsc(q) + kTraceDD * N));
+      FINEHMM_DCHECK(
+          pack_nibbles(select_f(gt_f(carry, V::load(stripe(ws.dmx, q))),
+                                one, zero)) == 0,
+          "trace Lazy-F did not reach its fixpoint");
+    }
+#endif
+
+    // Exit argmax: lanes in order, strict greater = first k of the max.
+    alignas(64) float xe[N];
+    alignas(64) float xq[N];
+    xEv.store(xe);
+    xQv.store(xq);
+    float xE = kNegInf;
+    int xEk = 0;
+    for (int j = 0; j < N; ++j) {
+      if (xe[j] > xE) {
+        xE = xe[j];
+        xEk = j * Q + static_cast<int>(xq[j]) + 1;
+      }
+    }
+    ws.be[i] = xEk;
+
+    const float j_loop = vJ + xs.j_loop;
+    const float j_new = xE + xs.e_j;
+    ws.bj[i] = j_loop >= j_new ? 0 : 1;
+    vJ = std::max(j_loop, j_new);
+
+    const float c_loop = vC + xs.c_loop;
+    const float c_new = xE + xs.e_c;
+    ws.bc[i] = c_loop >= c_new ? 0 : 1;
+    vC = std::max(c_loop, c_new);
+
+    vN = vN + xs.n_loop;
+    const float b_n = vN + xs.n_move;
+    const float b_j = vJ + xs.j_move;
+    ws.bb[i] = b_n >= b_j ? 0 : 1;
+    vB = std::max(b_n, b_j);
+  }
+  return vC + xs.c_move;
 }
 
 }  // namespace finehmm::cpu::simd_kernels

@@ -129,6 +129,10 @@ struct AvxF32x8 {
     __m256i carry = _mm256_permute2x128_si256(ai, ai, 0x08);
     return {_mm256_castsi256_ps(_mm256_alignr_epi8(ai, carry, 12))};
   }
+  /// Lane j <- lane j-1, lane 0 <- fill.
+  friend AvxF32x8 shift_lanes_up(AvxF32x8 a, float fill) {
+    return {_mm256_blend_ps(shift_lanes_up(a).v, _mm256_set1_ps(fill), 0x01)};
+  }
   /// Lane j <- lane j+1, lane 7 <- 0.0f: the carry copy holds [hi, 0] so
   /// lane 3 pulls from lane 4 and the top lane drains to zero.
   friend AvxF32x8 shift_lanes_down(AvxF32x8 a) {
@@ -145,6 +149,28 @@ struct AvxF32x8 {
     float s = 0.0f;
     for (int i = 0; i < 8; ++i) s += t[i];
     return s;
+  }
+
+  // Lane masks for the trace kernel: all-ones / all-zeros float lanes.
+  using Mask = __m256;
+  friend Mask gt_f(AvxF32x8 a, AvxF32x8 b) {
+    return _mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ);
+  }
+  /// Lane-wise m ? a : b.
+  friend AvxF32x8 select_f(Mask m, AvxF32x8 a, AvxF32x8 b) {
+    return {_mm256_blendv_ps(b.v, a.v, m)};
+  }
+  /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
+  /// in bits 4j..4j+3: narrow to bytes, then fold byte pairs.
+  friend std::uint64_t pack_nibbles(AvxF32x8 a) {
+    const __m256i c = _mm256_cvttps_epi32(a.v);
+    __m128i b = _mm_packs_epi32(_mm256_castsi256_si128(c),
+                                _mm256_extracti128_si256(c, 1));
+    b = _mm_packus_epi16(b, b);
+    auto x = static_cast<std::uint64_t>(_mm_cvtsi128_si64(b));
+    x = (x | (x >> 4)) & 0x00FF00FF00FF00FFull;
+    x = (x | (x >> 8)) & 0x0000FFFF0000FFFFull;
+    return (x | (x >> 16)) & 0xFFFFFFFFull;
   }
 };
 

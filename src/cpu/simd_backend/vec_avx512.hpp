@@ -129,10 +129,11 @@ struct Avx512F32x16 {
   friend Avx512F32x16 mul_f(Avx512F32x16 a, Avx512F32x16 b) {
     return {_mm512_mul_ps(a.v, b.v)};
   }
-  /// Lane j <- lane j-1, lane 0 <- 0.0f (VALIGND is fully cross-lane).
-  friend Avx512F32x16 shift_lanes_up(Avx512F32x16 a) {
+  /// Lane j <- lane j-1, lane 0 <- fill (VALIGND is fully cross-lane).
+  friend Avx512F32x16 shift_lanes_up(Avx512F32x16 a, float fill = 0.0f) {
     return {_mm512_castsi512_ps(_mm512_alignr_epi32(
-        _mm512_castps_si512(a.v), _mm512_setzero_si512(), 15))};
+        _mm512_castps_si512(a.v),
+        _mm512_castps_si512(_mm512_set1_ps(fill)), 15))};
   }
   /// Lane j <- lane j+1, lane 15 <- 0.0f.
   friend Avx512F32x16 shift_lanes_down(Avx512F32x16 a) {
@@ -148,6 +149,26 @@ struct Avx512F32x16 {
     float s = 0.0f;
     for (int i = 0; i < 16; ++i) s += t[i];
     return s;
+  }
+
+  // Lane masks for the trace kernel: one k-register bit per lane.
+  using Mask = __mmask16;
+  friend Mask gt_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return _mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ);
+  }
+  /// Lane-wise m ? a : b.
+  friend Avx512F32x16 select_f(Mask m, Avx512F32x16 a, Avx512F32x16 b) {
+    return {_mm512_mask_blend_ps(m, b.v, a.v)};
+  }
+  /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
+  /// in bits 4j..4j+3: VPMOVDB narrows to bytes, then byte pairs fold
+  /// within 16-bit words and pack.
+  friend std::uint64_t pack_nibbles(Avx512F32x16 a) {
+    __m128i b = _mm512_cvtepi32_epi8(_mm512_cvttps_epi32(a.v));
+    b = _mm_and_si128(_mm_or_si128(b, _mm_srli_epi16(b, 4)),
+                      _mm_set1_epi16(0x00FF));
+    b = _mm_packus_epi16(b, b);
+    return static_cast<std::uint64_t>(_mm_cvtsi128_si64(b));
   }
 };
 

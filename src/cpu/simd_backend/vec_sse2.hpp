@@ -119,6 +119,10 @@ struct SseF32x4 {
   friend SseF32x4 shift_lanes_up(SseF32x4 a) {
     return {_mm_castsi128_ps(_mm_slli_si128(_mm_castps_si128(a.v), 4))};
   }
+  /// Lane j <- lane j-1, lane 0 <- fill.
+  friend SseF32x4 shift_lanes_up(SseF32x4 a, float fill) {
+    return {_mm_move_ss(shift_lanes_up(a).v, _mm_set_ss(fill))};
+  }
   /// Lane j <- lane j+1, lane 3 <- 0.0f.
   friend SseF32x4 shift_lanes_down(SseF32x4 a) {
     return {_mm_castsi128_ps(_mm_srli_si128(_mm_castps_si128(a.v), 4))};
@@ -131,6 +135,25 @@ struct SseF32x4 {
     float s = 0.0f;
     for (int i = 0; i < 4; ++i) s += t[i];
     return s;
+  }
+
+  // Lane masks for the trace kernel: an all-ones / all-zeros float lane
+  // per comparison, blended bitwise (SSE2 has no blendv).
+  using Mask = __m128;
+  friend Mask gt_f(SseF32x4 a, SseF32x4 b) { return _mm_cmpgt_ps(a.v, b.v); }
+  /// Lane-wise m ? a : b.
+  friend SseF32x4 select_f(Mask m, SseF32x4 a, SseF32x4 b) {
+    return {_mm_or_ps(_mm_and_ps(m, a.v), _mm_andnot_ps(m, b.v))};
+  }
+  /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
+  /// in bits 4j..4j+3: narrow to bytes, then fold byte pairs.
+  friend std::uint64_t pack_nibbles(SseF32x4 a) {
+    __m128i b = _mm_cvttps_epi32(a.v);
+    b = _mm_packs_epi32(b, b);
+    b = _mm_packus_epi16(b, b);
+    std::uint32_t x = static_cast<std::uint32_t>(_mm_cvtsi128_si32(b));
+    x = (x | (x >> 4)) & 0x00FF00FFu;
+    return (x | (x >> 8)) & 0xFFFFu;
   }
 };
 

@@ -122,9 +122,12 @@ struct I16x8 {
   }
 };
 
-/// 4 floats (Forward filter lane type, probability space).
+/// 4 floats (Forward filter lane type, probability space; also the
+/// log-odds lane type of the trace kernel).
 struct F32x4 {
   static constexpr int kLanes = 4;
+  /// Lane comparison result: bit j set when lane j compared true.
+  using Mask = std::uint32_t;
   float v[kLanes];
 
   static F32x4 splat(float x) {
@@ -176,6 +179,27 @@ struct F32x4 {
     for (auto e : a.v)
       if (e > m) m = e;
     return m;
+  }
+  /// Lane-wise a > b (false when either lane is NaN).
+  friend Mask gt_f(F32x4 a, F32x4 b) {
+    Mask m = 0;
+    for (int i = 0; i < kLanes; ++i)
+      if (a.v[i] > b.v[i]) m |= Mask{1} << i;
+    return m;
+  }
+  /// Lane-wise m ? a : b.
+  friend F32x4 select_f(Mask m, F32x4 a, F32x4 b) {
+    F32x4 r;
+    for (int i = 0; i < kLanes; ++i) r.v[i] = (m >> i) & 1 ? a.v[i] : b.v[i];
+    return r;
+  }
+  /// Lanes holding small integer codes 0..15 packed one nibble per lane:
+  /// lane j lands in bits 4j..4j+3 of the result.
+  friend std::uint64_t pack_nibbles(F32x4 a) {
+    std::uint64_t r = 0;
+    for (int i = 0; i < kLanes; ++i)
+      r |= static_cast<std::uint64_t>(static_cast<int>(a.v[i])) << (4 * i);
+    return r;
   }
 };
 

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <vector>
 
+#include "cpu/simd_backend/backend.hpp"
 #include "util/error.hpp"
 #include "util/logspace.hpp"
 
@@ -50,18 +51,23 @@ struct SplitPointers {
   std::uint8_t dp(std::size_t i, int k) const { return bd[at(i, k)]; }
 };
 
-/// The same backpointers packed one nibble per cell: the match
-/// predecessor in bits 0-1, the insert choice in bit 2, the delete
-/// choice in bit 3.  Row i holds `row_bytes` = M/2+1 bytes, and cell k
-/// is the low nibble of byte k/2 when k is even, the high one when odd —
-/// a sixth of the memory of SplitPointers.
-struct PackedPointers {
+/// The trace kernel's backpointers: one nibble per cell in striped order
+/// (simd_kernels::TraceScratch), so cell k of row i sits at slot
+/// ((k-1)%Q)*N + (k-1)/Q of a row of Q*N/2 bytes — the match
+/// predecessor in bits 0-1, the insert choice in bit 2, the delete choice
+/// in bit 3.  A sixth of the memory of SplitPointers.
+struct StripedPointers {
   const std::uint8_t* bp;
-  std::size_t row_bytes;
+  int Q;
+  int N;
   unsigned cell(std::size_t i, int k) const {
-    const std::uint8_t b =
-        bp[i * row_bytes + static_cast<std::size_t>(k >> 1)];
-    return (k & 1) ? b >> 4 : b & 0xFu;
+    const std::size_t slot =
+        static_cast<std::size_t>((k - 1) % Q) * static_cast<std::size_t>(N) +
+        static_cast<std::size_t>((k - 1) / Q);
+    const std::size_t row_bytes =
+        static_cast<std::size_t>(Q) * static_cast<std::size_t>(N) / 2;
+    const std::uint8_t b = bp[i * row_bytes + slot / 2];
+    return (slot & 1) ? b >> 4 : b & 0xFu;
   }
   std::uint8_t mp(std::size_t i, int k) const { return cell(i, k) & 3; }
   std::uint8_t ip(std::size_t i, int k) const { return (cell(i, k) >> 2) & 1; }
@@ -259,11 +265,47 @@ ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                    be.data(), bj.data(), bc.data(), bb.data());
 }
 
-void TraceWorkspace::reserve(int M, std::size_t L) {
-  const std::size_t stride = static_cast<std::size_t>(M) + 1;
-  const std::size_t packed = (L + 1) * (static_cast<std::size_t>(M) / 2 + 1);
-  if (rows_.size() < 6 * stride) rows_.resize(6 * stride);
-  if (row_cells_.size() < stride + 1) row_cells_.resize(stride + 1);
+TraceStripes::TraceStripes(const hmm::SearchProfile& prof, SimdTier tier)
+    : prof_(prof), ops_(&backend::tier_kernels(resolve_simd_tier(tier))) {
+  using namespace simd_kernels;
+  const int M = prof.length();
+  const int N = ops_->f32_lanes;
+  Q_ = (M + N - 1) / N;
+  const std::size_t n = static_cast<std::size_t>(Q_) * N;
+  params_.assign(static_cast<std::size_t>(bio::kKp + kTraceTransitions) * n,
+                 kNegInf);
+  float* tsc = params_.data() + static_cast<std::size_t>(bio::kKp) * n;
+  for (int k = 1; k <= M; ++k) {
+    const int q = (k - 1) % Q_;
+    const int j = (k - 1) / Q_;
+    const std::size_t slot = static_cast<std::size_t>(q) * N + j;
+    for (int x = 0; x < bio::kKp; ++x)
+      params_[static_cast<std::size_t>(x) * n + slot] = prof.msc(k, x);
+    auto t = [&](int r) -> float& {
+      return tsc[(static_cast<std::size_t>(q) * kTraceTransitions + r) * N +
+                 j];
+    };
+    t(kTraceBM) = prof.tsc(k - 1, kPTBM);
+    t(kTraceMM) = prof.tsc(k - 1, kPTMM);
+    t(kTraceIM) = prof.tsc(k - 1, kPTIM);
+    t(kTraceDM) = prof.tsc(k - 1, kPTDM);
+    if (k < M) {  // no I state at k = M
+      t(kTraceMI) = prof.tsc(k, kPTMI);
+      t(kTraceII) = prof.tsc(k, kPTII);
+    }
+    if (k >= 2) {  // no D state at k = 1
+      t(kTraceMD) = prof.tsc(k - 1, kPTMD);
+      t(kTraceDD) = prof.tsc(k - 1, kPTDD);
+    }
+    t(kTraceME) = prof.esc(k);
+  }
+}
+
+SimdTier TraceStripes::tier() const noexcept { return ops_->tier; }
+
+void TraceWorkspace::reserve(std::size_t row_floats, std::size_t L) {
+  const std::size_t packed = (L + 1) * (row_floats / 2);
+  if (rows_.size() < 3 * row_floats) rows_.resize(3 * row_floats);
   if (bp_.size() < packed) bp_.resize(packed);
   if (be_.size() < L + 1) {
     be_.resize(L + 1);
@@ -273,125 +315,39 @@ void TraceWorkspace::reserve(int M, std::size_t L) {
   }
 }
 
-ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
+ViterbiTrace viterbi_trace(const TraceStripes& stripes,
                            const std::uint8_t* seq, std::size_t L,
                            TraceWorkspace& ws) {
   FH_REQUIRE(L >= 1, "cannot trace an empty sequence");
-  const int M = prof.length();
-  const auto xs = prof.xsc_for(static_cast<int>(L));
-  ws.reserve(M, L);
+  const int N = stripes.ops_->f32_lanes;
+  const std::size_t n = static_cast<std::size_t>(stripes.Q_) * N;
+  ws.reserve(n, L);
 
-  const std::size_t stride = static_cast<std::size_t>(M) + 1;
-  const std::size_t row_bytes = static_cast<std::size_t>(M) / 2 + 1;
-  float* pm = ws.rows_.data();
-  float* pi = pm + stride;
-  float* pd = pi + stride;
-  float* cm = pd + stride;
-  float* ci = cm + stride;
-  float* cd = ci + stride;
-  std::uint8_t* bp = ws.bp_.data();
-  // One row's backpointers a byte per cell, packed into bp after the row;
-  // cells 0 and M+1 are never written and pack as zero nibbles.
-  std::uint8_t* row_cells = ws.row_cells_.data();
-  row_cells[0] = 0;
-  row_cells[M + 1] = 0;
-  int* be = ws.be_.data();
-  std::uint8_t* bj = ws.bj_.data();
-  std::uint8_t* bc = ws.bc_.data();
-  std::uint8_t* bb = ws.bb_.data();
+  simd_kernels::TraceStripesView view;
+  view.msc = stripes.params_.data();
+  view.tsc = view.msc + static_cast<std::size_t>(bio::kKp) * n;
+  view.Q = stripes.Q_;
 
-  std::fill(pm, pm + stride, kNegInf);
-  std::fill(pi, pi + stride, kNegInf);
-  std::fill(pd, pd + stride, kNegInf);
+  simd_kernels::TraceScratch scratch;
+  scratch.mmx = ws.rows_.data();
+  scratch.imx = scratch.mmx + n;
+  scratch.dmx = scratch.imx + n;
+  scratch.bp = ws.bp_.data();
+  scratch.be = ws.be_.data();
+  scratch.bj = ws.bj_.data();
+  scratch.bc = ws.bc_.data();
+  scratch.bb = ws.bb_.data();
 
-  // Special-state values only feed the next row, so they live in scalars;
-  // the per-row backpointers (all the backtrace reads) are kept.
-  float vN = 0.0f;
-  float vB = xs.n_move;
-  float vJ = kNegInf;
-  float vC = kNegInf;
-  bb[0] = 0;
+  const float score = stripes.ops_->trace(
+      view, stripes.prof_.xsc_for(static_cast<int>(L)), seq, L, scratch);
+  return backtrace(score, L, StripedPointers{scratch.bp, stripes.Q_, N},
+                   scratch.be, scratch.bj, scratch.bc, scratch.bb);
+}
 
-  for (std::size_t i = 1; i <= L; ++i) {
-    const std::uint8_t x = seq[i - 1];
-    float xE = kNegInf;
-    int xEk = 0;
-    cm[0] = ci[0] = cd[0] = kNegInf;
-    for (int k = 1; k <= M; ++k) {
-      // Match: B / M / I / D predecessors from row i-1.  Running strict-
-      // greater argmax == the reference's first-index-of-max scan.
-      float bv = vB + prof.tsc(k - 1, kPTBM);
-      int best = 0;
-      const float c1 = pm[k - 1] + prof.tsc(k - 1, kPTMM);
-      if (c1 > bv) {
-        bv = c1;
-        best = 1;
-      }
-      const float c2 = pi[k - 1] + prof.tsc(k - 1, kPTIM);
-      if (c2 > bv) {
-        bv = c2;
-        best = 2;
-      }
-      const float c3 = pd[k - 1] + prof.tsc(k - 1, kPTDM);
-      if (c3 > bv) {
-        bv = c3;
-        best = 3;
-      }
-      int bits = best;
-      cm[k] = bv + prof.msc(k, x);
-      const float exit_score = cm[k] + prof.esc(k);
-      if (exit_score > xE) {
-        xE = exit_score;
-        xEk = k;
-      }
-
-      if (k < M) {
-        const float im = pm[k] + prof.tsc(k, kPTMI);
-        const float ii = pi[k] + prof.tsc(k, kPTII);
-        if (!(im >= ii)) bits |= 1 << 2;
-        ci[k] = std::max(im, ii);
-      } else {
-        ci[k] = kNegInf;
-      }
-      if (k >= 2) {
-        const float dm = cm[k - 1] + prof.tsc(k - 1, kPTMD);
-        const float dd = cd[k - 1] + prof.tsc(k - 1, kPTDD);
-        if (!(dm >= dd)) bits |= 1 << 3;
-        cd[k] = std::max(dm, dd);
-      } else {
-        cd[k] = kNegInf;
-      }
-      row_cells[k] = static_cast<std::uint8_t>(bits);
-    }
-    std::uint8_t* bp_row = bp + i * row_bytes;
-    for (std::size_t b = 0; b < row_bytes; ++b)
-      bp_row[b] = static_cast<std::uint8_t>(row_cells[2 * b] |
-                                            (row_cells[2 * b + 1] << 4));
-    be[i] = xEk;
-
-    const float j_loop = vJ + xs.j_loop;
-    const float j_new = xE + xs.e_j;
-    bj[i] = j_loop >= j_new ? 0 : 1;
-    vJ = std::max(j_loop, j_new);
-
-    const float c_loop = vC + xs.c_loop;
-    const float c_new = xE + xs.e_c;
-    bc[i] = c_loop >= c_new ? 0 : 1;
-    vC = std::max(c_loop, c_new);
-
-    vN = vN + xs.n_loop;
-    const float b_n = vN + xs.n_move;
-    const float b_j = vJ + xs.j_move;
-    bb[i] = b_n >= b_j ? 0 : 1;
-    vB = std::max(b_n, b_j);
-
-    std::swap(pm, cm);
-    std::swap(pi, ci);
-    std::swap(pd, cd);
-  }
-
-  return backtrace(vC + xs.c_move, L, PackedPointers{bp, row_bytes}, be, bj,
-                   bc, bb);
+ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
+                           const std::uint8_t* seq, std::size_t L,
+                           TraceWorkspace& ws) {
+  return viterbi_trace(TraceStripes(prof), seq, L, ws);
 }
 
 std::vector<Alignment> trace_alignments(const ViterbiTrace& trace,

@@ -15,9 +15,15 @@
 #include <string>
 #include <vector>
 
+#include "cpu/simd_backend/simd_tier.hpp"
 #include "hmm/profile.hpp"
+#include "util/aligned.hpp"
 
 namespace finehmm::cpu {
+
+namespace backend {
+struct TierKernels;
+}  // namespace backend
 
 enum class TraceState : std::uint8_t { kN, kB, kM, kI, kD, kE, kJ, kC };
 
@@ -32,25 +38,63 @@ struct ViterbiTrace {
   float score = 0.0f;  // the Viterbi score this path achieves (nats)
 };
 
-/// Full Viterbi with backpointers; O(M*L) time and space.
+/// Full Viterbi with backpointers; O(M*L) time and space.  Plain scalar
+/// code: the reference every other trace is tested against.
 ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                            const std::uint8_t* seq, std::size_t L);
 
+class TraceStripes;
 class TraceWorkspace;
 
-/// Scan-path variant of viterbi_trace: identical states, scores, and step
-/// sequence (equality-tested against the reference above), but all DP and
-/// backpointer storage lives in a caller-owned, grow-only workspace and
-/// the inner loop uses plain IEEE float adds — kNegInf is -infinity, so
-/// `a + b` equals the reference's guarded add bit-for-bit (no +inf ever
-/// enters the recurrence, hence no NaN).  Database engines keep one
-/// workspace per worker so rescoring a survivor allocates nothing once the
-/// workspace has grown to the largest (M, L) seen.
+/// Scan-path variant of viterbi_trace: the striped Viterbi-with-
+/// backpointers kernel at the stripes' SIMD tier
+/// (simd_kernels::trace_kernel), with all DP and backpointer storage in a
+/// caller-owned, grow-only workspace.  Identical states, scores and step
+/// sequence to the reference above, bit for bit, at every tier.  Database
+/// engines keep one workspace per worker, so tracing a survivor
+/// allocates nothing once the workspace has grown to the largest (M, L)
+/// seen.
+ViterbiTrace viterbi_trace(const TraceStripes& stripes,
+                           const std::uint8_t* seq, std::size_t L,
+                           TraceWorkspace& ws);
+
+/// Convenience form of the above: re-stripes `prof` for the active tier
+/// on every call.  Callers tracing many sequences against one model
+/// build a TraceStripes once instead.
 ViterbiTrace viterbi_trace(const hmm::SearchProfile& prof,
                            const std::uint8_t* seq, std::size_t L,
                            TraceWorkspace& ws);
 
-/// Reusable storage for the workspace viterbi_trace overload.  Buffers
+/// A SearchProfile's log-odds parameters striped for the trace kernel at
+/// one tier's float width N: a residue-major match-emission table (29
+/// rows) plus nine transition rows interleaved by stripe, Q = ceil(M/N)
+/// stripes each — 38 floats, 152 bytes, per model position.  Keeps a reference to the
+/// profile (for its length model), which must outlive it.  Build one per
+/// model and keep it exactly as long as that model is in use, like a
+/// FwdFilter; never cache one by profile address, since a later profile
+/// can be built at the same address.
+class TraceStripes {
+ public:
+  explicit TraceStripes(const hmm::SearchProfile& prof,
+                        SimdTier tier = active_simd_tier());
+
+  /// The tier the kernel runs at: the requested one clamped to the host.
+  SimdTier tier() const noexcept;
+
+ private:
+  friend ViterbiTrace viterbi_trace(const TraceStripes&,
+                                    const std::uint8_t*, std::size_t,
+                                    TraceWorkspace&);
+
+  const hmm::SearchProfile& prof_;
+  const backend::TierKernels* ops_;
+  int Q_;
+  // kKp emission rows, then the interleaved transition stripes
+  // (simd_kernels::TraceStripesView), Q * lanes floats per row.
+  aligned_vector<float> params_;
+};
+
+/// Reusable storage for the workspace viterbi_trace overloads.  Buffers
 /// only ever grow; a default-constructed workspace is valid and sizes
 /// itself on first use.
 class TraceWorkspace {
@@ -58,18 +102,16 @@ class TraceWorkspace {
   TraceWorkspace() = default;
 
  private:
-  friend ViterbiTrace viterbi_trace(const hmm::SearchProfile&,
+  friend ViterbiTrace viterbi_trace(const TraceStripes&,
                                     const std::uint8_t*, std::size_t,
                                     TraceWorkspace&);
-  void reserve(int M, std::size_t L);
+  void reserve(std::size_t row_floats, std::size_t L);
 
-  std::vector<float> rows_;      // 6 rolling value rows of (M+1) floats
-  /// (L+1) rows of M/2+1 bytes: the core-state backpointers, one nibble
-  /// per cell (match predecessor in bits 0-1, insert choice bit 2,
-  /// delete choice bit 3).
+  std::vector<float> rows_;  // the M, I and D rows, row_floats each
+  /// (L+1) rows of row_floats/2 bytes: the core-state backpointers, one
+  /// nibble per cell in striped order (simd_kernels::TraceScratch).
   std::vector<std::uint8_t> bp_;
-  std::vector<std::uint8_t> row_cells_;  // M+2: one row before packing
-  std::vector<int> be_;          // best exit node per row
+  std::vector<int> be_;                     // best exit node per row
   std::vector<std::uint8_t> bj_, bc_, bb_;  // special-state backpointers
 };
 

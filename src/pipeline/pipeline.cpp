@@ -213,9 +213,11 @@ bool HmmSearch::vit_gate(float score_nats, std::size_t L, float& bits) const {
   return stats_.vit_pvalue(bits) <= thr_.vit_p;
 }
 
-bool HmmSearch::score_forward(cpu::FwdFilter& fwd, const std::uint8_t* codes,
-                              std::size_t L, std::size_t db_size,
-                              Scratch& scratch, Hit& h) const {
+bool HmmSearch::score_forward(cpu::FwdFilter& fwd,
+                              const cpu::TraceStripes& trace_stripes,
+                              const std::uint8_t* codes, std::size_t L,
+                              std::size_t db_size, Scratch& scratch,
+                              Hit& h) const {
   const float raw = fwd.score(codes, L);
   // Traceback storage ((L+1)(M+1) nibbles) belongs to the thread and
   // outlives the scan: a daemon's pool threads reuse it from scan to scan
@@ -225,7 +227,7 @@ bool HmmSearch::score_forward(cpu::FwdFilter& fwd, const std::uint8_t* codes,
   cpu::ViterbiTrace trace;
   float bias_nats = 0.0f;
   if (thr_.null2_correction || thr_.compute_alignments)
-    trace = cpu::viterbi_trace(prof_, codes, L, trace_ws);
+    trace = cpu::viterbi_trace(trace_stripes, codes, L, trace_ws);
   if (thr_.null2_correction) bias_nats = null2_correction(prof_, trace, codes);
   h.fwd_bits = hmm::nats_to_bits(raw - bias_nats, static_cast<int>(L));
   h.pvalue = stats_.fwd_pvalue(h.fwd_bits);
@@ -500,10 +502,12 @@ HmmSearch::CoalescedScan HmmSearch::scan(
   };
   struct Worker {
     Scratch scratch;
-    // The Forward filter of the model this worker rescored last, rebuilt
-    // when the model changes: its wide parameter copy costs about 160
-    // bytes per model position, too much to hold for a whole library.
+    // The Forward filter and trace stripes of the model this worker
+    // rescored last, rebuilt when the model changes: their parameter
+    // copies cost about 160 and 152 bytes per model position, too much to
+    // hold for a whole library.
     std::optional<cpu::FwdFilter> fwd;
+    std::optional<cpu::TraceStripes> trace;
     std::size_t fwd_model = 0;
     std::vector<cpu::FilterResult> ssv, msv;  // per unit member
     std::vector<std::uint8_t> ssv_pass;       // per unit member
@@ -546,11 +550,12 @@ HmmSearch::CoalescedScan HmmSearch::scan(
     stage_t.reset();
     if (!me.fwd || me.fwd_model != item.model) {
       me.fwd.emplace(hs.fwd_);
+      me.trace.emplace(hs.prof_);
       me.fwd_model = item.model;
     }
     me.scratch.bwd_seconds = 0.0;
     const bool reported =
-        hs.score_forward(*me.fwd, codes, L, n, me.scratch, h);
+        hs.score_forward(*me.fwd, *me.trace, codes, L, n, me.scratch, h);
     ++clocks[w].fwd_calls;
     if (reported && hs.thr_.define_domains) ++clocks[w].bwd_calls;
     if (reported) me.hits.push_back({item.model, std::move(h)});
@@ -1001,6 +1006,7 @@ void HmmSearch::forward_stage(ScanSource src, std::vector<Hit> survivors,
   Timer timer;
   out.fwd.n_in = survivors.size();
   cpu::FwdFilter fwd_filter(fwd_);
+  const cpu::TraceStripes trace_stripes(prof_);
   Scratch scratch;
   if (src.zero_copy()) scratch.codes.resize(src.max_length());
   for (Hit& h : survivors) {
@@ -1008,7 +1014,8 @@ void HmmSearch::forward_stage(ScanSource src, std::vector<Hit> survivors,
     const std::uint8_t* codes =
         src.fetch_codes(h.seq_index, scratch.codes.data());
     out.fwd.cells += static_cast<double>(L) * prof_.length();
-    if (!score_forward(fwd_filter, codes, L, src.size(), scratch, h))
+    if (!score_forward(fwd_filter, trace_stripes, codes, L, src.size(),
+                       scratch, h))
       continue;
     if (thr_.define_domains) {
       out.bwd.n_in += 1;

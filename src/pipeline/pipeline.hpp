@@ -275,15 +275,15 @@ class HmmSearch {
   /// Per-worker buffers for the word stages, allocated once per scan.
   struct Scratch;
 
-  /// The Forward stage for one Viterbi survivor, on a filter built from
-  /// this model's profile: null2-corrected Forward bits, P- and E-value
-  /// (against `db_size` sequences), and — when the hit clears
-  /// report_evalue — alignments and domains.  Fills `h`'s scores and
-  /// returns whether it is reported; decode time is banked in
+  /// The Forward stage for one Viterbi survivor, on a filter and trace
+  /// stripes built from this model's profiles: null2-corrected Forward
+  /// bits, P- and E-value (against `db_size` sequences), and — when the
+  /// hit clears report_evalue — alignments and domains.  Fills `h`'s
+  /// scores and returns whether it is reported; decode time is banked in
   /// `scratch.bwd_seconds`.
-  bool score_forward(cpu::FwdFilter& fwd, const std::uint8_t* codes,
-                     std::size_t L, std::size_t db_size, Scratch& scratch,
-                     Hit& h) const;
+  bool score_forward(cpu::FwdFilter& fwd, const cpu::TraceStripes& trace,
+                     const std::uint8_t* codes, std::size_t L,
+                     std::size_t db_size, Scratch& scratch, Hit& h) const;
 
   /// Shared post-filter logic for run_cpu and the GPU engines: Viterbi
   /// survivors (seq_index, msv_bits and vit_bits set) -> Forward -> hits.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -218,6 +219,53 @@ TEST(MappedSeqDb, RejectsCorruptResidueCodes) {
       static_cast<unsigned char>(bytes[bytes.size() - 4]) | 0x1f);
   TempDb file(bytes);
   EXPECT_THROW(MappedSeqDb m(file.path), Error);
+}
+
+/// A one-sequence database whose residue word `word` (counted from the
+/// first payload word) has 5-bit field `field` forced to `code`.
+std::string with_residue_field(const std::string& text, std::size_t word,
+                               unsigned field, std::uint32_t code) {
+  SequenceDatabase db;
+  db.add(Sequence::from_text("a", text));
+  std::string bytes = serialize(db);
+  const std::size_t n_words = (text.size() + 5) / 6;
+  const std::size_t at = bytes.size() - 4 * (n_words - word);
+  std::uint32_t w;
+  std::memcpy(&w, bytes.data() + at, sizeof(w));
+  w = (w & ~(0x1fu << (5 * field))) | (code << (5 * field));
+  std::memcpy(bytes.data() + at, &w, sizeof(w));
+  return bytes;
+}
+
+// Open-time validation tests whole words at once: every field position of
+// a full word must be checked, codes 29..31 rejected and 28 kept.
+TEST(MappedSeqDb, ValidatesEveryFieldOfAFullWord) {
+  for (unsigned field = 0; field < 6; ++field) {
+    for (std::uint32_t code : {29u, 30u, 31u}) {
+      TempDb file(with_residue_field("ACDEFG", 0, field, code));
+      EXPECT_THROW(MappedSeqDb m(file.path), Error)
+          << "field=" << field << " code=" << code;
+    }
+    TempDb file(with_residue_field("ACDEFG", 0, field, 28));
+    MappedSeqDb m(file.path);
+    EXPECT_EQ(m.residues(0)[field], 28) << "field=" << field;
+  }
+}
+
+// In a partial last word only the fields inside the sequence are codes;
+// the pad fields past its length are never inspected.
+TEST(MappedSeqDb, ValidatesOnlyTheLiveFieldsOfTheLastWord) {
+  // "ACDEFGHI": word 1 holds residues 6 and 7, then four pad fields.
+  for (std::uint32_t code : {29u, 30u}) {
+    for (unsigned pad = 2; pad < 6; ++pad) {
+      TempDb file(with_residue_field("ACDEFGHI", 1, pad, code));
+      EXPECT_NO_THROW(MappedSeqDb m(file.path)) << "pad field " << pad;
+    }
+  }
+  for (std::uint32_t code : {29u, 30u, 31u}) {
+    TempDb file(with_residue_field("ACDEFGHI", 1, 1, code));
+    EXPECT_THROW(MappedSeqDb m(file.path), Error) << "code=" << code;
+  }
 }
 
 TEST(MappedSeqDb, RejectsWordCountMismatch) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "bio/synthetic.hpp"
@@ -188,6 +189,34 @@ TEST_P(TierEquivalence, FwdStripedHonorsActiveTierOverride) {
       float got = cpu::fwd_striped(fx.fwd, seq.codes.data(), seq.length());
       EXPECT_EQ(want, got) << "tier=" << cpu::simd_tier_name(tier)
                            << " L=" << seq.length();
+    }
+  }
+  cpu::reset_simd_tier();
+}
+
+// A new profile built at the address of a freed one must not be scored
+// with the old one's stripes: fwd_striped once cached its wide re-striping
+// by profile address and returned the first model's score for the second.
+TEST(TierEquivalenceRegression, FwdStripedRestripesAProfileAtAReusedAddress) {
+  const hmm::Plan7Hmm models[2] = {hmm::paper_model(200),
+                                   hmm::paper_model(201)};
+  const hmm::SearchProfile profs[2] = {
+      {models[0], hmm::AlignMode::kLocalMultihit, 400},
+      {models[1], hmm::AlignMode::kLocalMultihit, 400}};
+  Pcg32 rng(83);
+  const auto seq = bio::random_sequence(300, rng);
+  for (SimdTier tier : cpu::supported_simd_tiers()) {
+    if (cpu::backend::tier_kernels(tier).f32_lanes ==
+        profile::FwdProfile::kLanes)
+      continue;  // the native 4-lane layout never re-stripes
+    cpu::set_simd_tier(tier);
+    std::optional<profile::FwdProfile> slot;
+    for (const auto& prof : profs) {
+      slot.emplace(prof);  // same storage every time
+      cpu::FwdFilter filter(*slot, tier);
+      EXPECT_EQ(filter.score(seq.codes.data(), seq.length()),
+                cpu::fwd_striped(*slot, seq.codes.data(), seq.length()))
+          << "tier=" << cpu::simd_tier_name(tier);
     }
   }
   cpu::reset_simd_tier();
