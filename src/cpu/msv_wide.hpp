@@ -78,6 +78,13 @@ inline std::uint8_t hmax_u8(U8xN<N> a) {
     if (e > m) m = e;
   return m;
 }
+/// True if a > b (unsigned) in any lane.
+template <int N>
+inline bool any_gt_u8(U8xN<N> a, U8xN<N> b) {
+  bool any = false;
+  for (int i = 0; i < N; ++i) any |= a.v[i] > b.v[i];
+  return any;
+}
 
 /// Emission costs re-striped for an N-lane engine, built once per model
 /// from the MsvProfile's linear (position-ordered) costs.

@@ -247,6 +247,18 @@ void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
                       bio::PackedResidues seq, std::size_t L,
                       std::uint8_t* row);
 
+// ---- Byte lane-op probes ----
+// The native byte classes exist only inside their ISA translation units,
+// so tests reach a tier's any_gt_u8 (the MSV/SSV row-epilogue test)
+// through these: each loads the tier's u8_lanes bytes from a and b.
+bool any_gt_u8_sse2(const std::uint8_t* a, const std::uint8_t* b);
+bool any_gt_u8_avx2(const std::uint8_t* a, const std::uint8_t* b);
+bool any_gt_u8_avx512(const std::uint8_t* a, const std::uint8_t* b);
+/// The probe for any tier (portable: cpu::U8x16); same caller contract as
+/// tier_kernels.
+bool any_gt_u8_lanes(SimdTier tier, const std::uint8_t* a,
+                     const std::uint8_t* b);
+
 // ---- Per-tier dispatch table ----
 
 /// One tier's kernels plus its lane geometry.  The portable row wraps the

@@ -27,6 +27,10 @@ bool have_avx2() {
 #endif
 }
 
+bool any_gt_u8_avx2(const std::uint8_t* a, const std::uint8_t* b) {
+  return any_gt_u8(AvxU8x32::load(a), AvxU8x32::load(b));
+}
+
 FilterResult msv_avx2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       const std::uint8_t* seq, std::size_t L,
@@ -117,6 +121,10 @@ void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
 #else  // AVX2 backend not compiled in: stubs, never dispatched to
 
 bool have_avx2() { return false; }
+
+bool any_gt_u8_avx2(const std::uint8_t*, const std::uint8_t*) {
+  throw Error("AVX2 backend not compiled into this binary");
+}
 
 FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
                       const std::uint8_t*, std::size_t, std::uint8_t*) {

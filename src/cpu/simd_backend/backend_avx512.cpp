@@ -33,6 +33,10 @@ bool have_avx512() {
 #endif
 }
 
+bool any_gt_u8_avx512(const std::uint8_t* a, const std::uint8_t* b) {
+  return any_gt_u8(Avx512U8x64::load(a), Avx512U8x64::load(b));
+}
+
 FilterResult msv_avx512(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q,
                         const std::uint8_t* seq, std::size_t L,
@@ -123,6 +127,10 @@ void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
 #else  // AVX-512 backend not compiled in: stubs, never dispatched to
 
 bool have_avx512() { return false; }
+
+bool any_gt_u8_avx512(const std::uint8_t*, const std::uint8_t*) {
+  throw Error("AVX-512 backend not compiled into this binary");
+}
 
 FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,
                         int, const std::uint8_t*, std::size_t,

@@ -18,6 +18,10 @@ namespace finehmm::cpu::backend {
 
 bool have_sse2() { return true; }
 
+bool any_gt_u8_sse2(const std::uint8_t* a, const std::uint8_t* b) {
+  return any_gt_u8(SseU8x16::load(a), SseU8x16::load(b));
+}
+
 FilterResult msv_sse2(const profile::MsvProfile& prof,
                       const std::uint8_t* rows, int Q,
                       const std::uint8_t* seq, std::size_t L,
@@ -108,6 +112,10 @@ void ssv_group_sse2(const simd_kernels::MsvGroupView& g,
 #else  // non-x86 host: stubs, never dispatched to
 
 bool have_sse2() { return false; }
+
+bool any_gt_u8_sse2(const std::uint8_t*, const std::uint8_t*) {
+  throw Error("SSE2 backend not available on this target");
+}
 
 FilterResult msv_sse2(const profile::MsvProfile&, const std::uint8_t*, int,
                       const std::uint8_t*, std::size_t, std::uint8_t*) {

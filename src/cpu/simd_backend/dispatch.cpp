@@ -219,4 +219,19 @@ const TierKernels& tier_kernels(SimdTier tier) {
   return kTable[idx];
 }
 
+bool any_gt_u8_lanes(SimdTier tier, const std::uint8_t* a,
+                     const std::uint8_t* b) {
+  switch (tier) {
+    case SimdTier::kPortable:
+      return any_gt_u8(U8x16::load(a), U8x16::load(b));
+    case SimdTier::kSse2:
+      return any_gt_u8_sse2(a, b);
+    case SimdTier::kAvx2:
+      return any_gt_u8_avx2(a, b);
+    case SimdTier::kAvx512:
+      return any_gt_u8_avx512(a, b);
+  }
+  throw Error("unknown SIMD tier");
+}
+
 }  // namespace finehmm::cpu::backend

@@ -2,8 +2,8 @@
 //
 // Each kernel is the single definition of its filter's inner loop,
 // templated on a vector class V that supplies the lane operations via
-// ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8 for
-// bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
+// ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8/
+// any_gt_u8 for bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats, plus gt_f/select_f/
 // pack_nibbles and a filled shift_lanes_up for the trace kernel;
 // shift_lanes_up for all).  The portable classes (cpu/simd_vec.hpp, cpu/msv_wide.hpp,
@@ -40,15 +40,46 @@
 
 namespace finehmm::cpu::simd_kernels {
 
+/// The result of a byte filter whose row xE reached the overflow rail:
+/// the sequence certainly passes.
+inline FilterResult byte_overflow() {
+  FilterResult out;
+  out.score_nats = std::numeric_limits<float>::infinity();
+  out.overflowed = true;
+  return out;
+}
+
+/// The byte a row's xE vector must exceed in some lane before the MSV
+/// row epilogue can change anything: the smaller of the xJ-update
+/// threshold (a row max xE improves xJ only if xE - tec > xJ) and the
+/// overflow threshold less one (the row overflows when xE >= sat, with
+/// sat = 255 - bias).  A row whose lanes all stay at or below it leaves
+/// xJ, xB and the overflow flag as they were.  Requires sat >= 1; sat == 0
+/// overflows on the first row and is handled before the sweep.
+inline std::uint8_t msv_trigger(std::uint8_t xJ, std::uint8_t tec,
+                                std::uint8_t sat) {
+  const unsigned up = unsigned(xJ) + tec;
+  const std::uint8_t cap = std::uint8_t(sat - 1);
+  return up > cap ? cap : std::uint8_t(up);
+}
+
 /// Striped MSV over N = V::kLanes byte lanes.  `rows` is the striped
 /// emission table for this lane count (row of residue x at x*Q*N); `row`
 /// is caller-owned scratch of Q*N bytes.
+///
+/// Row epilogue: xBv and the trigger vector (msv_trigger, splatted) change
+/// only when xJ does, so the common row ends with one any_gt_u8 test and
+/// the next row's sweep does not wait on a horizontal max and a re-splat.
+/// A firing row runs the exact scalar epilogue: hmax_u8, the overflow
+/// test, the xJ/xB update.
 template <class V, class Seq>
 FilterResult msv_kernel(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q, Seq seq,
                         std::size_t L, std::uint8_t* row) {
   constexpr int N = V::kLanes;
   FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
+  const std::uint8_t sat = std::uint8_t(255 - prof.bias());
+  if (sat == 0) return byte_overflow();  // every xE byte overflows row 1
   const V biasv = V::splat(prof.bias());
   const std::uint8_t base = prof.base();
   const std::uint8_t tbm = prof.tbm();
@@ -59,12 +90,12 @@ FilterResult msv_kernel(const profile::MsvProfile& prof,
 
   std::uint8_t xJ = 0;
   std::uint8_t xB = base > tjb ? std::uint8_t(base - tjb) : 0;
+  V xBv = V::splat(xB > tbm ? std::uint8_t(xB - tbm) : 0);
+  V trigv = V::splat(msv_trigger(xJ, tec, sat));
 
-  FilterResult out;
   for (std::size_t i = 0; i < L; ++i) {
     const std::uint8_t* rbv =
         rows + static_cast<std::size_t>(seq[i]) * Q * N;
-    const V xBv = V::splat(xB > tbm ? std::uint8_t(xB - tbm) : 0);
     V xEv = V::splat(0);
 
     // Diagonal: previous row's last stripe, lanes shifted up by one.
@@ -79,12 +110,10 @@ FilterResult msv_kernel(const profile::MsvProfile& prof,
       mpv = V::load(cell);  // previous-row value (double buffer)
       sv.store(cell);
     }
+    if (!any_gt_u8(xEv, trigv)) continue;
+
     std::uint8_t xE = hmax_u8(xEv);
-    if (prof.overflowed(xE)) {
-      out.score_nats = std::numeric_limits<float>::infinity();
-      out.overflowed = true;
-      return out;
-    }
+    if (prof.overflowed(xE)) return byte_overflow();
     xE = xE > tec ? std::uint8_t(xE - tec) : 0;
     FINEHMM_IF_CHECKS(const std::uint8_t prev_xJ = xJ;)
     if (xE > xJ) xJ = xE;
@@ -93,19 +122,26 @@ FilterResult msv_kernel(const profile::MsvProfile& prof,
     FINEHMM_DCHECK(xJ >= prev_xJ, "MSV xJ must be monotone non-decreasing");
     xB = xJ > base ? xJ : base;
     xB = xB > tjb ? std::uint8_t(xB - tjb) : 0;
+    xBv = V::splat(xB > tbm ? std::uint8_t(xB - tbm) : 0);
+    trigv = V::splat(msv_trigger(xJ, tec, sat));
   }
+  FilterResult out;
   out.score_nats = prof.score_from_bytes(xJ, static_cast<int>(L));
   return out;
 }
 
 /// Striped SSV (no J state) over N byte lanes; same parameter layout and
-/// scratch contract as msv_kernel.
+/// scratch contract as msv_kernel.  xEv is a running max over the whole
+/// sequence, so the per-row overflow test is one any_gt_u8 against
+/// sat - 1 and the horizontal max runs once, at the end.
 template <class V, class Seq>
 FilterResult ssv_kernel(const profile::MsvProfile& prof,
                         const std::uint8_t* rows, int Q, Seq seq,
                         std::size_t L, std::uint8_t* row) {
   constexpr int N = V::kLanes;
   FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
+  const std::uint8_t sat = std::uint8_t(255 - prof.bias());
+  if (sat == 0) return byte_overflow();  // every xE byte overflows row 1
   const V biasv = V::splat(prof.bias());
   const std::uint8_t tjb = prof.tjb_for(static_cast<int>(L));
   const std::uint8_t base_less_tjb =
@@ -113,22 +149,10 @@ FilterResult ssv_kernel(const profile::MsvProfile& prof,
   const V xBv = V::splat(base_less_tjb > prof.tbm()
                              ? std::uint8_t(base_less_tjb - prof.tbm())
                              : 0);
+  const V capv = V::splat(std::uint8_t(sat - 1));
 
   std::memset(row, 0, static_cast<std::size_t>(Q) * N);
   V xEv = V::splat(0);
-
-  auto finish = [&prof, L](std::uint8_t xEmax, bool overflowed) {
-    FilterResult out;
-    if (overflowed) {
-      out.score_nats = std::numeric_limits<float>::infinity();
-      out.overflowed = true;
-      return out;
-    }
-    std::uint8_t xJ =
-        xEmax > prof.tec() ? std::uint8_t(xEmax - prof.tec()) : 0;
-    out.score_nats = prof.score_from_bytes(xJ, static_cast<int>(L));
-    return out;
-  };
 
   for (std::size_t i = 0; i < L; ++i) {
     const std::uint8_t* rbv =
@@ -144,10 +168,14 @@ FilterResult ssv_kernel(const profile::MsvProfile& prof,
       mpv = V::load(cell);
       sv.store(cell);
     }
-    if (prof.overflowed(hmax_u8(xEv)))
-      return finish(hmax_u8(xEv), /*overflowed=*/true);
+    if (any_gt_u8(xEv, capv)) return byte_overflow();  // a lane hit sat
   }
-  return finish(hmax_u8(xEv), /*overflowed=*/false);
+  const std::uint8_t xE = hmax_u8(xEv);
+  FINEHMM_DCHECK(!prof.overflowed(xE), "SSV overflow missed by any_gt_u8");
+  const std::uint8_t xJ = xE > prof.tec() ? std::uint8_t(xE - prof.tec()) : 0;
+  FilterResult out;
+  out.score_nats = prof.score_from_bytes(xJ, static_cast<int>(L));
+  return out;
 }
 
 // ---- Fused multi-model MSV/SSV (lane-partitioned groups) ---------------
@@ -200,10 +228,10 @@ struct MsvGroupState {
 
 /// Fused multi-model MSV: one N-lane sweep scores every member of the
 /// group.  Each model's xJ/xB feedback is exact — a per-lane trigger byte
-/// (min of the xJ-update threshold xJ+tec and the overflow threshold
-/// sat-1) lets the common no-change row skip the scalar epilogue with one
-/// vector compare, and the rare firing row replays the per-model updates
-/// exactly as msv_kernel would.  `row` is Q*N bytes of caller scratch.
+/// (msv_trigger, as in msv_kernel) lets the common no-change row skip the
+/// scalar epilogue with one any_gt_u8, and the rare firing row replays the
+/// per-model updates exactly as msv_kernel would.  `row` is Q*N bytes of
+/// caller scratch.
 template <class V, class Seq>
 void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
                       Seq seq, std::size_t L, std::uint8_t* row) {
@@ -226,12 +254,8 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
     std::uint8_t xB =
         md.base > st.tjb[m] ? std::uint8_t(md.base - st.tjb[m]) : 0;
     const std::uint8_t xb = xB > md.tbm ? std::uint8_t(xB - md.tbm) : 0;
-    std::uint8_t trig = 255;
-    if (!st.overflowed[m]) {
-      const unsigned up = md.tec;  // xJ + tec at xJ = 0
-      const std::uint8_t cap = std::uint8_t(md.sat - 1);
-      trig = up > cap ? cap : std::uint8_t(up);
-    }
+    const std::uint8_t trig =
+        st.overflowed[m] ? 255 : msv_trigger(0, md.tec, md.sat);
     for (int j = 0; j < md.lanes; ++j) {
       st.xb[md.lane_lo + j] = xb;
       st.trigger[md.lane_lo + j] = trig;
@@ -260,7 +284,7 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
     }
     // Fast path: no lane beats its model's trigger, so no member can
     // improve xJ and none overflowed — every epilogue is a no-op.
-    if (hmax_u8(subs_u8(xEv, trigv)) == 0) continue;
+    if (!any_gt_u8(xEv, trigv)) continue;
 
     xEv.store(st.xe);
     for (int m = 0; m < g.n_models; ++m) {
@@ -288,9 +312,7 @@ void msv_group_kernel(const MsvGroupView& g, const MsvGroupState& st,
       std::uint8_t xB = st.xj[m] > md.base ? st.xj[m] : md.base;
       xB = xB > st.tjb[m] ? std::uint8_t(xB - st.tjb[m]) : 0;
       const std::uint8_t xb = xB > md.tbm ? std::uint8_t(xB - md.tbm) : 0;
-      const unsigned up = unsigned(st.xj[m]) + md.tec;
-      const std::uint8_t cap = std::uint8_t(md.sat - 1);
-      const std::uint8_t trig = up > cap ? cap : std::uint8_t(up);
+      const std::uint8_t trig = msv_trigger(st.xj[m], md.tec, md.sat);
       for (int j = 0; j < md.lanes; ++j) {
         st.xb[md.lane_lo + j] = xb;
         st.trigger[md.lane_lo + j] = trig;

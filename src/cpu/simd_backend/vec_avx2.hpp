@@ -57,6 +57,14 @@ struct AvxU8x32 {
     m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
     return static_cast<std::uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
   }
+  /// True if a > b (unsigned) in any lane: AVX2 has no unsigned byte
+  /// compare, but a > b exactly where the saturating difference a - b is
+  /// nonzero.
+  friend bool any_gt_u8(AvxU8x32 a, AvxU8x32 b) {
+    const __m256i d = _mm256_subs_epu8(a.v, b.v);
+    return _mm256_movemask_epi8(
+               _mm256_cmpeq_epi8(d, _mm256_setzero_si256())) != -1;
+  }
 };
 
 /// 16 signed words in one YMM register (ViterbiFilter lane type, AVX2).

@@ -66,6 +66,12 @@ struct U8x16 {
       if (e > m) m = e;
     return m;
   }
+  /// True if a > b (unsigned) in any lane.
+  friend bool any_gt_u8(U8x16 a, U8x16 b) {
+    bool any = false;
+    for (int i = 0; i < kLanes; ++i) any |= a.v[i] > b.v[i];
+    return any;
+  }
 };
 
 /// 8 signed words (ViterbiFilter lane type).
