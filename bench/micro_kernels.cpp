@@ -11,7 +11,6 @@
 #include "cpu/msv_scalar.hpp"
 #include "cpu/msv_wide.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/ssv.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
 #include "gpu/search.hpp"
@@ -72,6 +71,9 @@ void BM_MsvStriped(benchmark::State& state) {
 }
 BENCHMARK(BM_MsvStriped)->Arg(100)->Arg(400)->Arg(1002);
 
+// msv_striped_wide<N> is the portable specification at width N (U8xN<N>
+// lane loops), not a native tier: the AVX2/AVX-512 MSV rates are
+// BM_MsvStripedTier's.
 template <int N>
 void BM_MsvWide(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
@@ -150,9 +152,10 @@ BENCHMARK(BM_VitStriped)->Arg(100)->Arg(400);
 
 void BM_SsvStriped(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
+  cpu::MsvFilter filter(f.msv);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        cpu::ssv_striped(f.msv, f.seq.codes.data(), f.seq.length()));
+        filter.ssv(f.seq.codes.data(), f.seq.length()));
   set_cell_rate(state, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_SsvStriped)->Arg(100)->Arg(400);

@@ -15,7 +15,6 @@
 #include "bench_common.hpp"
 #include "cpu/fwd_filter.hpp"
 #include "cpu/msv_filter.hpp"
-#include "cpu/ssv.hpp"
 #include "cpu/vit_filter.hpp"
 #include "hmm/sampler.hpp"
 
@@ -56,7 +55,7 @@ int main() {
         return r.overflowed ? 100.0
                             : hmm::nats_to_bits(r.score_nats, L);
       };
-      ssv_s.push_back(cap(cpu::ssv_striped(msv, seq.codes.data(), L)));
+      ssv_s.push_back(cap(msv_f.ssv(seq.codes.data(), L)));
       msv_s.push_back(cap(msv_f.score(seq.codes.data(), L)));
       vit_s.push_back(cap(vit_f.score(seq.codes.data(), L)));
       fwd_s.push_back(

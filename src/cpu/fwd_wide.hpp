@@ -1,76 +1,18 @@
 // Width-generic striped Forward/Backward parameters (companion of
 // cpu/msv_wide.hpp and cpu/vit_wide.hpp).
 //
-// F32xN is the portable float lane class for any power-of-two width: the
-// executable specification of the native SSE2/AVX2/AVX-512 float classes
-// (a portable run and a native run of the SAME width are bit-identical
-// because hsum_f accumulates lanes in order).  WideFwdStripes re-stripes
-// the FwdProfile's probability-space parameters for a tier's lane count
-// at runtime — including the out-indexed transition arrays the Backward
-// pass consumes — and hands the kernels a raw-pointer FwdStripesView.
+// WideFwdStripes re-stripes the FwdProfile's probability-space
+// parameters for a tier's lane count at runtime — including the
+// out-indexed transition arrays the Backward pass consumes — and hands
+// the kernels a raw-pointer FwdStripesView.  The portable float lane
+// class for any width is cpu::F32xN (cpu/simd_vec.hpp).
 #pragma once
 
-#include <cstring>
-
-#include "cpu/simd_backend/backend.hpp"
+#include "cpu/simd_backend/kernels.hpp"
 #include "profile/fwd_profile.hpp"
 #include "util/aligned.hpp"
 
 namespace finehmm::cpu {
-
-/// Portable N-float lane class satisfying the Forward kernel contract.
-template <int N>
-struct F32xN {
-  static_assert(N >= 2 && (N & (N - 1)) == 0, "lane count: power of two");
-  static constexpr int kLanes = N;
-  float v[N];
-
-  static F32xN splat(float x) {
-    F32xN r;
-    for (auto& e : r.v) e = x;
-    return r;
-  }
-  static F32xN load(const float* p) {
-    F32xN r;
-    std::memcpy(r.v, p, N * sizeof(float));
-    return r;
-  }
-  void store(float* p) const { std::memcpy(p, v, N * sizeof(float)); }
-};
-
-template <int N>
-inline F32xN<N> add_f(F32xN<N> a, F32xN<N> b) {
-  F32xN<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = a.v[i] + b.v[i];
-  return r;
-}
-template <int N>
-inline F32xN<N> mul_f(F32xN<N> a, F32xN<N> b) {
-  F32xN<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = a.v[i] * b.v[i];
-  return r;
-}
-template <int N>
-inline F32xN<N> shift_lanes_up(F32xN<N> a) {
-  F32xN<N> r;
-  r.v[0] = 0.0f;
-  for (int i = 1; i < N; ++i) r.v[i] = a.v[i - 1];
-  return r;
-}
-template <int N>
-inline F32xN<N> shift_lanes_down(F32xN<N> a) {
-  F32xN<N> r;
-  for (int i = 0; i + 1 < N; ++i) r.v[i] = a.v[i + 1];
-  r.v[N - 1] = 0.0f;
-  return r;
-}
-/// In-order lane sum starting from 0.0f — part of the score contract.
-template <int N>
-inline float hsum_f(F32xN<N> a) {
-  float s = 0.0f;
-  for (auto e : a.v) s += e;
-  return s;
-}
 
 /// The FwdProfile's parameters re-striped for one lane count, chosen at
 /// runtime from the tier's float width (4/8/16).  Builds both the

@@ -56,4 +56,8 @@ FilterResult MsvFilter::score(bio::PackedResidues seq, std::size_t L) {
   return ops_->msv_packed(prof_, wide_.rows, wide_.Q, seq, L, row_.data());
 }
 
+FilterResult MsvFilter::ssv(const std::uint8_t* seq, std::size_t L) {
+  return ops_->ssv(prof_, wide_.rows, wide_.Q, seq, L, row_.data());
+}
+
 }  // namespace finehmm::cpu

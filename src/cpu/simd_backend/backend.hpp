@@ -1,29 +1,32 @@
-// Native filter backend entry points and the per-tier dispatch table.
+// The per-tier kernel dispatch table: the only way a striped kernel is
+// reached.
 //
-// Each function is one striped filter kernel instantiated with a native
-// vector class (vec_sse2.hpp / vec_avx2.hpp / vec_avx512.hpp) inside an
-// ISA-specific translation unit; this header itself is plain C++ and safe
-// to include anywhere.  All entry points take caller-owned DP scratch and
-// perform no heap allocation.  Callers must not invoke a tier whose
-// have_*() probe returns false — the dispatcher (cpu::resolve_simd_tier
-// and the filter classes) guarantees that; the stubs compiled when a tier
-// is absent throw.
+// Every filter kernel is written once in kernels.hpp as a template over a
+// lane class.  A tier is a set of three lane classes (bytes for MSV/SSV,
+// words for the ViterbiFilter, floats for Forward/Backward and the
+// trace), and make_tier_row below turns any such set into a TierKernels
+// row of function pointers.  The portable row (cpu/simd_vec.hpp classes)
+// is built in dispatch.cpp; each native row is built inside its ISA
+// translation unit (backend_sse2/avx2/avx512.cpp, the only files compiled
+// with that ISA's flags), which exports just two symbols: have_<isa>()
+// and <isa>_row().  Adding a tier is a lane-class header, a TU of that
+// shape and an enum value.  The library builds without floating-point
+// contraction, so each native float row rounds exactly as the portable
+// class of its width does (docs/simd_dispatch.md §5).  This header itself
+// is plain C++ and safe to include anywhere.
 //
-// Every tier exposes the same signatures (HMMER4-style):
+// Every row has the same signatures (HMMER4-style) and every entry takes
+// caller-owned DP scratch and performs no heap allocation:
 //   * msv/ssv take a re-striped emission table for the tier's byte lane
 //     count (cpu::WideMsvStripes<N> layout: residue x at rows + x*Q*N;
-//     for SSE2 the MsvProfile's own 16-lane arrays are already that
-//     layout and are passed zero-copy).
+//     for 16 lanes the MsvProfile's own arrays are already that layout
+//     and are passed zero-copy).
 //   * vit takes a VitStripesView built for the tier's word lane count
-//     (cpu::WideVitStripes<N>; SSE2 uses vit_native_view below).
+//     (cpu::WideVitStripes<N>; 8 lanes use vit_native_view below).
 //   * fwd / fwd_bwd take a FwdStripesView built for the tier's float lane
 //     count (cpu::WideFwdStripes).
 //   * trace takes a TraceStripesView built for the tier's float lane
 //     count (cpu::TraceStripes) plus the length model's special scores.
-//
-// tier_kernels() maps a SimdTier to its function-pointer row, so the
-// filter classes resolve MSV/SSV/Viterbi/Forward/Backward through one
-// table instead of per-filter switch ladders.
 #pragma once
 
 #include <cstddef>
@@ -84,189 +87,11 @@ inline simd_kernels::FwdStripesView fwd_native_view(
   return st;
 }
 
-// ---- SSE2 tier (128-bit: 16 bytes / 8 words / 4 floats) ----
-FilterResult msv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult vit_sse2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_sse2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx);
-float fwd_bwd_sse2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float trace_sse2(const simd_kernels::TraceStripesView& st,
-                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
-                 std::size_t L, const simd_kernels::TraceScratch& ws);
-
-// Zero-copy overloads for the database scan path: the sequence is a packed
-// 5-bit residue view (typically into an mmap'd .fsqdb), consumed in place.
-// Bit-identical to the byte-code overloads by construction — both
-// instantiate the same kernel, only the Seq accessor differs.
-FilterResult msv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_sse2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-// Fused multi-model group sweeps (cpu::FusedMsvGroup packing; see
-// simd_kernels::msv_group_kernel).
-void msv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void msv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_sse2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-
-// ---- AVX2 tier (256-bit: 32 bytes / 16 words / 8 floats) ----
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult vit_avx2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_avx2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx);
-float fwd_bwd_avx2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float trace_avx2(const simd_kernels::TraceStripesView& st,
-                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
-                 std::size_t L, const simd_kernels::TraceScratch& ws);
-
-// Packed-residue (zero-copy) overloads; see the SSE2 notes above.
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row);
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row);
-
-// ---- AVX-512 tier (512-bit: 64 bytes / 32 words / 16 floats) ----
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult vit_avx512(const profile::VitProfile& prof,
-                        const simd_kernels::VitStripesView& st,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::int16_t* mmx, std::int16_t* imx,
-                        std::int16_t* dmx, int* lazyf_passes = nullptr);
-float fwd_avx512(const profile::FwdProfile& prof,
-                 const simd_kernels::FwdStripesView& st,
-                 const std::uint8_t* seq, std::size_t L, float* mmx,
-                 float* imx, float* dmx);
-float fwd_bwd_avx512(const profile::FwdProfile& prof,
-                     const simd_kernels::FwdStripesView& st,
-                     const std::uint8_t* seq, std::size_t L,
-                     const simd_kernels::FwdBwdScratch& ws, float* mocc);
-float trace_avx512(const simd_kernels::TraceStripesView& st,
-                   const hmm::SpecialScores& xs, const std::uint8_t* seq,
-                   std::size_t L, const simd_kernels::TraceScratch& ws);
-
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row);
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row);
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row);
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row);
-
-// ---- Byte lane-op probes ----
-// The native byte classes exist only inside their ISA translation units,
-// so tests reach a tier's any_gt_u8 (the MSV/SSV row-epilogue test)
-// through these: each loads the tier's u8_lanes bytes from a and b.
-bool any_gt_u8_sse2(const std::uint8_t* a, const std::uint8_t* b);
-bool any_gt_u8_avx2(const std::uint8_t* a, const std::uint8_t* b);
-bool any_gt_u8_avx512(const std::uint8_t* a, const std::uint8_t* b);
-/// The probe for any tier (portable: cpu::U8x16); same caller contract as
-/// tier_kernels.
-bool any_gt_u8_lanes(SimdTier tier, const std::uint8_t* a,
-                     const std::uint8_t* b);
-
 // ---- Per-tier dispatch table ----
 
-/// One tier's kernels plus its lane geometry.  The portable row wraps the
-/// template kernels with the portable lane classes at 128-bit widths, so
-/// every row satisfies the same signatures and the filter classes can
-/// dispatch data-driven.  Function pointers, so no default arguments:
-/// vit's final parameter is the optional lazyf_passes out-param
-/// (nullable), fwd_bwd's mocc must hold L floats.
+/// One tier's kernels plus its lane geometry.  Function pointers, so no
+/// default arguments: vit's final parameter is the optional lazyf_passes
+/// out-param (nullable), fwd_bwd's mocc must hold L floats.
 struct TierKernels {
   SimdTier tier = SimdTier::kPortable;
   int u8_lanes = 0;   // MSV/SSV byte lanes
@@ -316,11 +141,54 @@ struct TierKernels {
                            const simd_kernels::MsvGroupState&,
                            bio::PackedResidues, std::size_t,
                            std::uint8_t*) = nullptr;
+
+  /// The byte class's any_gt_u8 (the MSV/SSV row-epilogue test) on u8_lanes
+  /// bytes loaded from a and b.  The native classes exist only inside their
+  /// ISA translation units, so this is how tests reach the op.
+  bool (*any_gt_u8)(const std::uint8_t* a, const std::uint8_t* b) = nullptr;
 };
 
-/// The dispatch row for one tier.  The caller is responsible for only
-/// asking for tiers that are supported (simd_tier_supported); the
-/// returned row's entries for an unavailable tier are the throwing stubs.
+/// The one row recipe: every kernel instantiated with the byte class U8,
+/// the word class I16 and the float class F32.  Instantiate it only where
+/// those classes' instructions may be compiled (their own TU), so every
+/// symbol it emits is keyed on them.
+template <class U8, class I16, class F32>
+constexpr TierKernels make_tier_row(SimdTier tier) {
+  using Bytes = const std::uint8_t*;
+  using bio::PackedResidues;
+  namespace k = simd_kernels;
+  TierKernels row;
+  row.tier = tier;
+  row.u8_lanes = U8::kLanes;
+  row.i16_lanes = I16::kLanes;
+  row.f32_lanes = F32::kLanes;
+  row.msv = &k::msv_kernel<U8, Bytes>;
+  row.msv_packed = &k::msv_kernel<U8, PackedResidues>;
+  row.ssv = &k::ssv_kernel<U8, Bytes>;
+  row.ssv_packed = &k::ssv_kernel<U8, PackedResidues>;
+  row.vit = &k::vit_kernel<I16, Bytes>;
+  row.fwd = &k::fwd_kernel<F32, Bytes>;
+  row.fwd_bwd = &k::fwd_bwd_kernel<F32, Bytes>;
+  row.trace = &k::trace_kernel<F32>;
+  row.msv_group = &k::msv_group_kernel<U8, Bytes>;
+  row.msv_group_packed = &k::msv_group_kernel<U8, PackedResidues>;
+  row.ssv_group = &k::ssv_group_kernel<U8, Bytes>;
+  row.ssv_group_packed = &k::ssv_group_kernel<U8, PackedResidues>;
+  row.any_gt_u8 = [](const std::uint8_t* a, const std::uint8_t* b) {
+    return any_gt_u8(U8::load(a), U8::load(b));
+  };
+  return row;
+}
+
+/// Each native row, built in its ISA translation unit with that ISA's
+/// lane classes; nullptr when the TU was not compiled for its ISA.
+const TierKernels* sse2_row();
+const TierKernels* avx2_row();
+const TierKernels* avx512_row();
+
+/// The dispatch row for one tier.  Throws Error unless
+/// simd_tier_supported(tier): a row whose instructions this host cannot
+/// run is never handed out.
 const TierKernels& tier_kernels(SimdTier tier);
 
 }  // namespace finehmm::cpu::backend

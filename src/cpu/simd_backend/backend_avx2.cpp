@@ -1,4 +1,4 @@
-// AVX2 instantiations of the striped filter kernels.
+// The AVX2 row of the dispatch table.
 //
 // This is the only TU in the library compiled with -mavx2 (set per-file
 // from src/CMakeLists.txt, which also defines FINEHMM_BACKEND_AVX2; there
@@ -6,9 +6,10 @@
 // runnable on any x86-64).  have_avx2() combines that compile-time
 // availability with a cpuid probe, so a binary built here still runs —
 // and correctly reports the tier unavailable — on an SSE2-only machine.
+// Every symbol this TU defines beyond the two below is keyed on the AVX2
+// lane classes (scripts/check_isa_objects.sh), so the linker can never
+// merge an AVX2-compiled copy into another tier's code.
 #include "cpu/simd_backend/backend.hpp"
-
-#include "util/error.hpp"
 
 #if defined(FINEHMM_BACKEND_AVX2) && defined(__AVX2__)
 #define FINEHMM_AVX2_TU 1
@@ -27,163 +28,16 @@ bool have_avx2() {
 #endif
 }
 
-bool any_gt_u8_avx2(const std::uint8_t* a, const std::uint8_t* b) {
-  return any_gt_u8(AvxU8x32::load(a), AvxU8x32::load(b));
+const TierKernels* avx2_row() {
+  static constexpr TierKernels kRow =
+      make_tier_row<AvxU8x32, AvxI16x16, AvxF32x8>(SimdTier::kAvx2);
+  return &kRow;
 }
 
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::msv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult vit_avx2(const profile::VitProfile& prof,
-                      const simd_kernels::VitStripesView& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::int16_t* mmx, std::int16_t* imx,
-                      std::int16_t* dmx, int* lazyf_passes) {
-  return simd_kernels::vit_kernel<AvxI16x16>(prof, st, seq, L, mmx, imx,
-                                             dmx, lazyf_passes);
-}
-
-float fwd_avx2(const profile::FwdProfile& prof,
-               const simd_kernels::FwdStripesView& st,
-               const std::uint8_t* seq, std::size_t L, float* mmx,
-               float* imx, float* dmx) {
-  return simd_kernels::fwd_kernel<AvxF32x8>(prof, st, seq, L, mmx, imx,
-                                            dmx);
-}
-
-float fwd_bwd_avx2(const profile::FwdProfile& prof,
-                   const simd_kernels::FwdStripesView& st,
-                   const std::uint8_t* seq, std::size_t L,
-                   const simd_kernels::FwdBwdScratch& ws, float* mocc) {
-  return simd_kernels::fwd_bwd_kernel<AvxF32x8>(prof, st, seq, L, ws,
-                                                mocc);
-}
-
-float trace_avx2(const simd_kernels::TraceStripesView& st,
-                 const hmm::SpecialScores& xs, const std::uint8_t* seq,
-                 std::size_t L, const simd_kernels::TraceScratch& ws) {
-  return simd_kernels::trace_kernel<AvxF32x8>(st, xs, seq, L, ws);
-}
-
-FilterResult msv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::msv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx2(const profile::MsvProfile& prof,
-                      const std::uint8_t* rows, int Q,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<AvxU8x32>(prof, rows, Q, seq, L, row);
-}
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    const std::uint8_t* seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void msv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-void ssv_group_avx2(const simd_kernels::MsvGroupView& g,
-                    const simd_kernels::MsvGroupState& st,
-                    bio::PackedResidues seq, std::size_t L,
-                    std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<AvxU8x32>(g, st, seq, L, row);
-}
-
-#else  // AVX2 backend not compiled in: stubs, never dispatched to
+#else
 
 bool have_avx2() { return false; }
-
-bool any_gt_u8_avx2(const std::uint8_t*, const std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-
-FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult ssv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult vit_avx2(const profile::VitProfile&,
-                      const simd_kernels::VitStripesView&,
-                      const std::uint8_t*, std::size_t, std::int16_t*,
-                      std::int16_t*, std::int16_t*, int*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float fwd_avx2(const profile::FwdProfile&,
-               const simd_kernels::FwdStripesView&, const std::uint8_t*,
-               std::size_t, float*, float*, float*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float fwd_bwd_avx2(const profile::FwdProfile&,
-                   const simd_kernels::FwdStripesView&,
-                   const std::uint8_t*, std::size_t,
-                   const simd_kernels::FwdBwdScratch&, float*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-float trace_avx2(const simd_kernels::TraceStripesView&,
-                 const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
-                 const simd_kernels::TraceScratch&) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult msv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-FilterResult ssv_avx2(const profile::MsvProfile&, const std::uint8_t*, int,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void msv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, const std::uint8_t*,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void ssv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, const std::uint8_t*,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void msv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, bio::PackedResidues,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
-void ssv_group_avx2(const simd_kernels::MsvGroupView&,
-                    const simd_kernels::MsvGroupState&, bio::PackedResidues,
-                    std::size_t, std::uint8_t*) {
-  throw Error("AVX2 backend not compiled into this binary");
-}
+const TierKernels* avx2_row() { return nullptr; }
 
 #endif
 

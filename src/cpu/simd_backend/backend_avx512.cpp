@@ -1,4 +1,4 @@
-// AVX-512 instantiations of the striped filter kernels.
+// The AVX-512 row of the dispatch table.
 //
 // This is the only TU compiled with -mavx512f -mavx512bw (set per-file
 // from src/CMakeLists.txt, which also defines FINEHMM_BACKEND_AVX512 —
@@ -9,10 +9,8 @@
 // availability with cpuid probes, so a binary built here still runs —
 // and correctly reports the tier unavailable — on older machines; CI
 // additionally builds this TU on non-AVX-512 runners as a compile-only
-// check.
+// check, and scripts/check_isa_objects.sh checks its object as for AVX2.
 #include "cpu/simd_backend/backend.hpp"
-
-#include "util/error.hpp"
 
 #if defined(FINEHMM_BACKEND_AVX512) && defined(__AVX512F__) && \
     defined(__AVX512BW__)
@@ -33,167 +31,17 @@ bool have_avx512() {
 #endif
 }
 
-bool any_gt_u8_avx512(const std::uint8_t* a, const std::uint8_t* b) {
-  return any_gt_u8(Avx512U8x64::load(a), Avx512U8x64::load(b));
+const TierKernels* avx512_row() {
+  static constexpr TierKernels kRow =
+      make_tier_row<Avx512U8x64, Avx512I16x32, Avx512F32x16>(
+          SimdTier::kAvx512);
+  return &kRow;
 }
 
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::msv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult vit_avx512(const profile::VitProfile& prof,
-                        const simd_kernels::VitStripesView& st,
-                        const std::uint8_t* seq, std::size_t L,
-                        std::int16_t* mmx, std::int16_t* imx,
-                        std::int16_t* dmx, int* lazyf_passes) {
-  return simd_kernels::vit_kernel<Avx512I16x32>(prof, st, seq, L, mmx,
-                                                imx, dmx, lazyf_passes);
-}
-
-float fwd_avx512(const profile::FwdProfile& prof,
-                 const simd_kernels::FwdStripesView& st,
-                 const std::uint8_t* seq, std::size_t L, float* mmx,
-                 float* imx, float* dmx) {
-  return simd_kernels::fwd_kernel<Avx512F32x16>(prof, st, seq, L, mmx,
-                                                imx, dmx);
-}
-
-float fwd_bwd_avx512(const profile::FwdProfile& prof,
-                     const simd_kernels::FwdStripesView& st,
-                     const std::uint8_t* seq, std::size_t L,
-                     const simd_kernels::FwdBwdScratch& ws, float* mocc) {
-  return simd_kernels::fwd_bwd_kernel<Avx512F32x16>(prof, st, seq, L, ws,
-                                                    mocc);
-}
-
-float trace_avx512(const simd_kernels::TraceStripesView& st,
-                   const hmm::SpecialScores& xs, const std::uint8_t* seq,
-                   std::size_t L, const simd_kernels::TraceScratch& ws) {
-  return simd_kernels::trace_kernel<Avx512F32x16>(st, xs, seq, L, ws);
-}
-
-FilterResult msv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::msv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-FilterResult ssv_avx512(const profile::MsvProfile& prof,
-                        const std::uint8_t* rows, int Q,
-                        bio::PackedResidues seq, std::size_t L,
-                        std::uint8_t* row) {
-  return simd_kernels::ssv_kernel<Avx512U8x64>(prof, rows, Q, seq, L, row);
-}
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      const std::uint8_t* seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void msv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::msv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-void ssv_group_avx512(const simd_kernels::MsvGroupView& g,
-                      const simd_kernels::MsvGroupState& st,
-                      bio::PackedResidues seq, std::size_t L,
-                      std::uint8_t* row) {
-  simd_kernels::ssv_group_kernel<Avx512U8x64>(g, st, seq, L, row);
-}
-
-#else  // AVX-512 backend not compiled in: stubs, never dispatched to
+#else
 
 bool have_avx512() { return false; }
-
-bool any_gt_u8_avx512(const std::uint8_t*, const std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-
-FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, const std::uint8_t*, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult ssv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, const std::uint8_t*, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult vit_avx512(const profile::VitProfile&,
-                        const simd_kernels::VitStripesView&,
-                        const std::uint8_t*, std::size_t, std::int16_t*,
-                        std::int16_t*, std::int16_t*, int*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float fwd_avx512(const profile::FwdProfile&,
-                 const simd_kernels::FwdStripesView&, const std::uint8_t*,
-                 std::size_t, float*, float*, float*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float fwd_bwd_avx512(const profile::FwdProfile&,
-                     const simd_kernels::FwdStripesView&,
-                     const std::uint8_t*, std::size_t,
-                     const simd_kernels::FwdBwdScratch&, float*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-float trace_avx512(const simd_kernels::TraceStripesView&,
-                   const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
-                   const simd_kernels::TraceScratch&) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult msv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, bio::PackedResidues, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-FilterResult ssv_avx512(const profile::MsvProfile&, const std::uint8_t*,
-                        int, bio::PackedResidues, std::size_t,
-                        std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void msv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void ssv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      const std::uint8_t*, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void msv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
-void ssv_group_avx512(const simd_kernels::MsvGroupView&,
-                      const simd_kernels::MsvGroupState&,
-                      bio::PackedResidues, std::size_t, std::uint8_t*) {
-  throw Error("AVX-512 backend not compiled into this binary");
-}
+const TierKernels* avx512_row() { return nullptr; }
 
 #endif
 

@@ -6,10 +6,11 @@
 // any_gt_u8 for bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats, plus gt_f/select_f/
 // pack_nibbles and a filled shift_lanes_up for the trace kernel;
-// shift_lanes_up for all).  The portable classes (cpu/simd_vec.hpp, cpu/msv_wide.hpp,
-// cpu/vit_wide.hpp, cpu/fwd_wide.hpp) and the native SSE2/AVX2/AVX-512
-// wrappers (vec_sse2.hpp, vec_avx2.hpp, vec_avx512.hpp) all satisfy the
-// same contract, so every tier executes literally the same algorithm —
+// shift_lanes_up for all).  The portable classes (cpu/simd_vec.hpp) and
+// the native SSE2/AVX2/AVX-512 wrappers (vec_sse2.hpp, vec_avx2.hpp,
+// vec_avx512.hpp) all satisfy the same contract, and backend.hpp's
+// make_tier_row builds every tier's dispatch row from them, so every tier
+// executes literally the same algorithm —
 // which is what makes the bit-exactness guarantee structural rather than
 // empirical.
 //

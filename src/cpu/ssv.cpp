@@ -1,12 +1,10 @@
 #include "cpu/ssv.hpp"
 
-#include <cstring>
+#include <limits>
 #include <vector>
 
-#include "cpu/simd_backend/backend.hpp"
-#include "cpu/simd_backend/kernels.hpp"
-#include "cpu/simd_backend/simd_tier.hpp"
-#include "cpu/simd_vec.hpp"
+#include "cpu/msv_filter.hpp"
+#include "util/aligned.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -74,16 +72,16 @@ FilterResult ssv_scalar(const profile::MsvProfile& prof,
 
 FilterResult ssv_striped(const profile::MsvProfile& prof,
                          const std::uint8_t* seq, std::size_t L) {
-  thread_local std::vector<std::uint8_t> row;
-  const std::size_t n = static_cast<std::size_t>(prof.striped_segments()) *
-                        profile::MsvProfile::kLanes;
+  const backend::TierKernels& ops =
+      backend::tier_kernels(resolve_simd_tier(active_simd_tier()));
+  // 16 lanes read the profile's own striping; wider tiers re-stripe on
+  // every call.  Nothing is cached: a later profile can be built at this
+  // profile's address.
+  const SharedMsvRows rows = make_shared_msv_rows(prof, ops.u8_lanes);
+  thread_local aligned_vector<std::uint8_t> row;
+  const std::size_t n = static_cast<std::size_t>(rows.Q) * rows.lanes;
   if (row.size() < n) row.resize(n);
-  if (active_simd_tier() != SimdTier::kPortable && backend::have_sse2())
-    return backend::ssv_sse2(prof, prof.striped_row(0),
-                             prof.striped_segments(), seq, L, row.data());
-  return simd_kernels::ssv_kernel<U8x16>(prof, prof.striped_row(0),
-                                         prof.striped_segments(), seq, L,
-                                         row.data());
+  return ops.ssv(prof, rows.rows, rows.Q, seq, L, row.data());
 }
 
 }  // namespace finehmm::cpu

@@ -22,7 +22,9 @@ namespace finehmm::cpu {
 FilterResult ssv_scalar(const profile::MsvProfile& prof,
                         const std::uint8_t* seq, std::size_t L);
 
-/// Striped 16-lane SSV filter.
+/// Striped SSV filter at the active SIMD tier (cpu::active_simd_tier).
+/// Tiers wider than 16 byte lanes re-stripe the emission table on every
+/// call; scans use MsvFilter::ssv, which stripes once.
 FilterResult ssv_striped(const profile::MsvProfile& prof,
                          const std::uint8_t* seq, std::size_t L);
 

@@ -303,6 +303,15 @@ TraceStripes::TraceStripes(const hmm::SearchProfile& prof, SimdTier tier)
 
 SimdTier TraceStripes::tier() const noexcept { return ops_->tier; }
 
+simd_kernels::TraceStripesView TraceStripes::view() const {
+  simd_kernels::TraceStripesView view;
+  view.msc = params_.data();
+  view.tsc = view.msc + static_cast<std::size_t>(bio::kKp) * Q_ *
+                            static_cast<std::size_t>(ops_->f32_lanes);
+  view.Q = Q_;
+  return view;
+}
+
 void TraceWorkspace::reserve(std::size_t row_floats, std::size_t L) {
   const std::size_t packed = (L + 1) * (row_floats / 2);
   if (rows_.size() < 3 * row_floats) rows_.resize(3 * row_floats);
@@ -323,11 +332,6 @@ ViterbiTrace viterbi_trace(const TraceStripes& stripes,
   const std::size_t n = static_cast<std::size_t>(stripes.Q_) * N;
   ws.reserve(n, L);
 
-  simd_kernels::TraceStripesView view;
-  view.msc = stripes.params_.data();
-  view.tsc = view.msc + static_cast<std::size_t>(bio::kKp) * n;
-  view.Q = stripes.Q_;
-
   simd_kernels::TraceScratch scratch;
   scratch.mmx = ws.rows_.data();
   scratch.imx = scratch.mmx + n;
@@ -339,7 +343,7 @@ ViterbiTrace viterbi_trace(const TraceStripes& stripes,
   scratch.bb = ws.bb_.data();
 
   const float score = stripes.ops_->trace(
-      view, stripes.prof_.xsc_for(static_cast<int>(L)), seq, L, scratch);
+      stripes.view(), stripes.prof_.xsc_for(static_cast<int>(L)), seq, L, scratch);
   return backtrace(score, L, StripedPointers{scratch.bp, stripes.Q_, N},
                    scratch.be, scratch.bj, scratch.bc, scratch.bb);
 }

@@ -24,6 +24,9 @@ namespace finehmm::cpu {
 namespace backend {
 struct TierKernels;
 }  // namespace backend
+namespace simd_kernels {
+struct TraceStripesView;
+}  // namespace simd_kernels
 
 enum class TraceState : std::uint8_t { kN, kB, kM, kI, kD, kE, kJ, kC };
 
@@ -80,6 +83,8 @@ class TraceStripes {
 
   /// The tier the kernel runs at: the requested one clamped to the host.
   SimdTier tier() const noexcept;
+  /// The raw-pointer view the trace kernel consumes.
+  simd_kernels::TraceStripesView view() const;
 
  private:
   friend ViterbiTrace viterbi_trace(const TraceStripes&,

@@ -7,73 +7,15 @@
 // cpu::vit_scalar at every width.
 #pragma once
 
-#include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "cpu/filter_result.hpp"
-#include "cpu/simd_backend/backend.hpp"
-#include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/simd_backend/kernels.hpp"
+#include "cpu/simd_vec.hpp"
 #include "profile/vit_profile.hpp"
 #include "util/aligned.hpp"
-#include "util/error.hpp"
 
 namespace finehmm::cpu {
-
-template <int N>
-struct I16xN {
-  static_assert(N >= 2 && (N & (N - 1)) == 0, "lane count: power of two");
-  static constexpr int kLanes = N;
-  std::int16_t v[N];
-
-  static I16xN splat(std::int16_t x) {
-    I16xN r;
-    for (auto& e : r.v) e = x;
-    return r;
-  }
-  static I16xN neg_inf() { return splat(profile::kWordNegInf); }
-  static I16xN load(const std::int16_t* p) {
-    I16xN r;
-    std::memcpy(r.v, p, N * sizeof(std::int16_t));
-    return r;
-  }
-  void store(std::int16_t* p) const {
-    std::memcpy(p, v, N * sizeof(std::int16_t));
-  }
-};
-
-template <int N>
-inline I16xN<N> max_i16(I16xN<N> a, I16xN<N> b) {
-  I16xN<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-  return r;
-}
-template <int N>
-inline I16xN<N> adds_w(I16xN<N> a, I16xN<N> b) {
-  I16xN<N> r;
-  for (int i = 0; i < N; ++i) r.v[i] = profile::sat_add_word(a.v[i], b.v[i]);
-  return r;
-}
-template <int N>
-inline I16xN<N> shift_lanes_up(I16xN<N> a) {
-  I16xN<N> r;
-  r.v[0] = profile::kWordNegInf;
-  for (int i = 1; i < N; ++i) r.v[i] = a.v[i - 1];
-  return r;
-}
-template <int N>
-inline std::int16_t hmax_i16(I16xN<N> a) {
-  std::int16_t m = profile::kWordNegInf;
-  for (auto e : a.v)
-    if (e > m) m = e;
-  return m;
-}
-template <int N>
-inline bool any_gt_i16(I16xN<N> a, I16xN<N> b) {
-  for (int i = 0; i < N; ++i)
-    if (a.v[i] > b.v[i]) return true;
-  return false;
-}
 
 /// All eight parameter stripes re-laid-out for N lanes.
 template <int N>
@@ -138,32 +80,21 @@ class WideVitStripes {
       tdd_;
 };
 
-/// N-lane ViterbiFilter with Lazy-F; bit-exact with cpu::vit_scalar.  The
-/// body is the shared simd_kernels::vit_kernel; the 16-lane instance is
-/// routed to the native AVX2 backend when the host supports it.  Scratch
-/// is thread-local and grown monotonically, so repeated scans allocate
-/// nothing per call.
+/// N-lane ViterbiFilter with Lazy-F; bit-exact with cpu::vit_scalar.  This
+/// is the portable specification at width N: the shared
+/// simd_kernels::vit_kernel over I16xN<N>.  The native tiers are reached
+/// through VitFilter / backend::tier_kernels.  Scratch is thread-local and
+/// grown monotonically, so repeated scans allocate nothing per call.
 template <int N>
 FilterResult vit_striped_wide(const profile::VitProfile& prof,
                               const WideVitStripes<N>& st,
                               const std::uint8_t* seq, std::size_t L) {
-  const int Q = st.segments();
-  const std::size_t n = static_cast<std::size_t>(Q) * N;
+  const std::size_t n = static_cast<std::size_t>(st.segments()) * N;
   thread_local std::vector<std::int16_t> mmx, imx, dmx;
   if (mmx.size() < n) {
     mmx.resize(n);
     imx.resize(n);
     dmx.resize(n);
-  }
-  if constexpr (N == 16) {
-    if (backend::have_avx2() && active_simd_tier() == SimdTier::kAvx2)
-      return backend::vit_avx2(prof, st.view(), seq, L, mmx.data(),
-                               imx.data(), dmx.data());
-  }
-  if constexpr (N == 32) {
-    if (backend::have_avx512() && active_simd_tier() == SimdTier::kAvx512)
-      return backend::vit_avx512(prof, st.view(), seq, L, mmx.data(),
-                                 imx.data(), dmx.data());
   }
   return simd_kernels::vit_kernel<I16xN<N>>(prof, st.view(), seq, L,
                                             mmx.data(), imx.data(),

@@ -3,7 +3,6 @@
 #include "bio/synthetic.hpp"
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
-#include "cpu/ssv.hpp"
 #include "cpu/vit_filter.hpp"
 #include "util/error.hpp"
 
@@ -38,7 +37,7 @@ ModelStats calibrate(const hmm::SearchProfile& prof,
                     : hmm::nats_to_bits(m.score_nats, L);
     msv_bits.push_back(mb);
 
-    auto sv = cpu::ssv_striped(msv, seq.codes.data(), L);
+    auto sv = msv_filter.ssv(seq.codes.data(), L);
     double sb = sv.overflowed
                     ? hmm::nats_to_bits(
                           (255.0f - msv.bias() - msv.base()) / msv.scale(), L)

@@ -251,7 +251,7 @@ TEST(AnyGtU8, EveryLaneAndEdgeAtEverySupportedTier) {
     const int N = cpu::backend::tier_kernels(tier).u8_lanes;
     auto any_gt = [tier](const std::vector<std::uint8_t>& a,
                          const std::vector<std::uint8_t>& b) {
-      return cpu::backend::any_gt_u8_lanes(tier, a.data(), b.data());
+      return cpu::backend::tier_kernels(tier).any_gt_u8(a.data(), b.data());
     };
     const std::string t = cpu::simd_tier_name(tier);
     // Equal vectors never fire, including at the 0 and 255 edges.

@@ -222,9 +222,9 @@ TEST(TierEquivalenceRegression, FwdStripedRestripesAProfileAtAReusedAddress) {
   cpu::reset_simd_tier();
 }
 
-// The width-templated engines route their native widths (32/64-byte MSV,
-// 16/32-word Viterbi) through the AVX2/AVX-512 backends when active;
-// scores must not depend on whether the native or portable path ran.
+// The width-templated engines are the portable spec at every width
+// (32/64-byte MSV, 16/32-word Viterbi); their scores must match the
+// scalar references whichever tier is forced.
 TEST_P(TierEquivalence, WideEnginesMatchScalarUnderEveryForcedTier) {
   Fixture fx(GetParam());
   auto seqs = test_sequences(fx);
