@@ -9,9 +9,9 @@
 // use — so the numbers include real length imbalance and scheduling
 // overhead.  Results are written to BENCH_throughput.json (machine
 // readable; cells/sec per stage x tier x threads — including the
-// single-thread M=400 "trace" rows and their "scalar" reference — and per
-// pipeline engine x threads, with host info) for the roadmap's evidence
-// trail.
+// single-thread M=400 "trace" and "calibrate" rows and their "scalar"
+// references — and per pipeline engine x threads, with host info) for the
+// roadmap's evidence trail.
 //
 // Usage: bench_throughput [db_scale] [model_length] [out.json]
 //   db_scale default 0.001 (~460 sequences), model_length default 400.
@@ -31,6 +31,7 @@
 
 #include "bio/seq_db_io.hpp"
 #include "bio/synthetic.hpp"
+#include "cpu/generic.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/trace.hpp"
 #include "hmm/generator.hpp"
@@ -352,6 +353,47 @@ std::vector<Record> bench_trace(const bio::SequenceDatabase& db,
   return out;
 }
 
+/// The calibration Forward (stats::calibrate's 200 random length-100
+/// samples) at M = 400 on one thread: a "calibrate" row per supported
+/// tier (cpu::generic_forward_batch, one sample per float lane) plus the
+/// per-sample scalar generic_forward loop it replaced (tier "scalar").
+std::vector<Record> bench_calibrate() {
+  const int M = 400;
+  const std::size_t n = 200;
+  const std::size_t L = 100;
+  const auto model = hmm::paper_model(M);
+  const hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
+  Pcg32 rng(0x5eed);
+  std::vector<std::uint8_t> samples;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto seq = bio::random_sequence(L, rng);
+    samples.insert(samples.end(), seq.codes.begin(), seq.codes.end());
+  }
+  const double cells = static_cast<double>(n * L) * M;
+  std::vector<float> scores(n);
+
+  std::vector<Record> out;
+  for (cpu::SimdTier tier : cpu::supported_simd_tiers()) {
+    cpu::set_simd_tier(tier);
+    Timer timer;
+    cpu::generic_forward_batch(prof, samples.data(), n, L, scores.data());
+    out.push_back(Record{"calibrate", cpu::simd_tier_name(tier), 1, cells,
+                         timer.seconds()});
+  }
+  cpu::reset_simd_tier();
+  Timer timer;
+  for (std::size_t s = 0; s < n; ++s)
+    scores[s] = cpu::generic_forward(prof, samples.data() + s * L, L);
+  out.push_back(Record{"calibrate", "scalar", 1, cells, timer.seconds()});
+  const double scalar = out.back().cells_per_sec();
+  for (const auto& r : out)
+    std::printf(
+        "calibrate M=%d tier=%-8s threads=1  %.3g cells/s (%.1fx scalar)\n",
+        M, r.tier, r.cells_per_sec(),
+        obs::safe_rate(r.cells_per_sec(), scalar));
+  return out;
+}
+
 /// The hmmscan dual: many short models, one database.  Times 32
 /// per-model scans against ONE lane-packed fused sweep (run_cpu_fused)
 /// on the same pool, asserts the per-model hit lists bit-identical, and
@@ -525,6 +567,7 @@ int main(int argc, char** argv) {
   cpu::reset_simd_tier();
 
   for (const auto& r : bench_trace(db, n_word)) records.push_back(r);
+  for (const auto& r : bench_calibrate()) records.push_back(r);
 
   // Full-pipeline end-to-end: heap-parallel vs. mmap-overlapped engines
   // at double the stage-sweep database scale (still interactive).

@@ -1,8 +1,10 @@
 #include "cpu/generic.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
+#include "cpu/simd_backend/backend.hpp"
 #include "util/error.hpp"
 #include "util/logspace.hpp"
 
@@ -188,6 +190,29 @@ float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
     pd.swap(cd);
   }
   return add_scores(xC, xs.c_move);
+}
+
+void generic_forward_batch(const hmm::SearchProfile& prof,
+                           const std::uint8_t* seqs, std::size_t n,
+                           std::size_t L, float* out) {
+  FH_REQUIRE(L >= 1, "cannot score an empty sequence");
+  const backend::TierKernels& row =
+      backend::tier_kernels(resolve_simd_tier(active_simd_tier()));
+  const std::size_t N = static_cast<std::size_t>(row.f32_lanes);
+  std::vector<float> dp(3 * static_cast<std::size_t>(prof.length()) * N);
+  std::vector<float> scores(N);
+  std::vector<std::uint8_t> tail;  // the last, partial batch plus pad lanes
+  for (std::size_t b = 0; b < n; b += N) {
+    const std::size_t take = std::min(N, n - b);
+    const std::uint8_t* batch = seqs + b * L;
+    if (take < N) {
+      tail.assign(N * L, 0);  // pad lanes score residue 0, then are dropped
+      std::memcpy(tail.data(), batch, take * L);
+      batch = tail.data();
+    }
+    row.fwd_lanes(prof, batch, L, dp.data(), scores.data());
+    std::copy_n(scores.begin(), take, out + b);
+  }
 }
 
 float generic_backward(const hmm::SearchProfile& prof, const std::uint8_t* seq,

@@ -40,6 +40,14 @@ float generic_viterbi(const hmm::SearchProfile& prof, const std::uint8_t* seq,
 float generic_forward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
                       std::size_t L, bool exact = false);
 
+/// Table-driven Forward scores (nats) of n sequences of one length L,
+/// stored back to back (sequence j at seqs + j*L): out[j] is bitwise
+/// generic_forward(prof, seqs + j*L, L).  Runs one sequence per float
+/// lane of the active SIMD tier; the result does not depend on the tier.
+void generic_forward_batch(const hmm::SearchProfile& prof,
+                           const std::uint8_t* seqs, std::size_t n,
+                           std::size_t L, float* out);
+
 /// Backward score (nats); equals Forward up to log-sum rounding.
 float generic_backward(const hmm::SearchProfile& prof, const std::uint8_t* seq,
                        std::size_t L, bool exact = false);

@@ -60,4 +60,11 @@ FilterResult MsvFilter::ssv(const std::uint8_t* seq, std::size_t L) {
   return ops_->ssv(prof_, wide_.rows, wide_.Q, seq, L, row_.data());
 }
 
+float byte_bits(const profile::MsvProfile& msv, FilterResult r, int L) {
+  return r.overflowed
+             ? hmm::nats_to_bits(
+                   (255.0f - msv.bias() - msv.base()) / msv.scale(), L)
+             : hmm::nats_to_bits(r.score_nats, L);
+}
+
 }  // namespace finehmm::cpu

@@ -73,4 +73,9 @@ class MsvFilter {
   aligned_vector<std::uint8_t> row_;
 };
 
+/// Bit score of a byte-filter (MSV or SSV) result on a length-L target.
+/// An overflowed score becomes the overflow ceiling, a conservative lower
+/// bound that keeps P-values and calibration fits finite.
+float byte_bits(const profile::MsvProfile& msv, FilterResult r, int L);
+
 }  // namespace finehmm::cpu

@@ -27,6 +27,9 @@
 //     count (cpu::WideFwdStripes).
 //   * trace takes a TraceStripesView built for the tier's float lane
 //     count (cpu::TraceStripes) plus the length model's special scores.
+//   * fwd_lanes takes the SearchProfile itself and f32_lanes sequences of
+//     one length, one per lane (no striping; cpu::generic_forward_batch
+//     is its caller).
 #pragma once
 
 #include <cstddef>
@@ -124,6 +127,11 @@ struct TierKernels {
   float (*trace)(const simd_kernels::TraceStripesView&,
                  const hmm::SpecialScores&, const std::uint8_t*, std::size_t,
                  const simd_kernels::TraceScratch&) = nullptr;
+  /// Lanes-as-samples log-space Forward: f32_lanes sequences of length L
+  /// back to back, scratch of 3*M*f32_lanes floats, f32_lanes scores out,
+  /// each bitwise cpu::generic_forward's.
+  void (*fwd_lanes)(const hmm::SearchProfile&, const std::uint8_t*,
+                    std::size_t, float*, float*) = nullptr;
 
   // Fused multi-model sweeps: one call scores every member of a packed
   // group (results come back through MsvGroupState's xj/overflowed).
@@ -170,6 +178,7 @@ constexpr TierKernels make_tier_row(SimdTier tier) {
   row.fwd = &k::fwd_kernel<F32, Bytes>;
   row.fwd_bwd = &k::fwd_bwd_kernel<F32, Bytes>;
   row.trace = &k::trace_kernel<F32>;
+  row.fwd_lanes = &k::fwd_lanes_kernel<F32>;
   row.msv_group = &k::msv_group_kernel<U8, Bytes>;
   row.msv_group_packed = &k::msv_group_kernel<U8, PackedResidues>;
   row.ssv_group = &k::ssv_group_kernel<U8, Bytes>;

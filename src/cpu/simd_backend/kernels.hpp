@@ -5,8 +5,9 @@
 // ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8/
 // any_gt_u8 for bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats, plus gt_f/select_f/
-// pack_nibbles and a filled shift_lanes_up for the trace kernel;
-// shift_lanes_up for all).  The portable classes (cpu/simd_vec.hpp) and
+// pack_nibbles and a filled shift_lanes_up for the trace kernel and
+// sub_f/ge_f/lookup_f for the lanes-as-samples Forward; shift_lanes_up
+// for all).  The portable classes (cpu/simd_vec.hpp) and
 // the native SSE2/AVX2/AVX-512 wrappers (vec_sse2.hpp, vec_avx2.hpp,
 // vec_avx512.hpp) all satisfy the same contract, and backend.hpp's
 // make_tier_row builds every tier's dispatch row from them, so every tier
@@ -1292,6 +1293,127 @@ float trace_kernel(const TraceStripesView& stripes,
     vB = std::max(b_n, b_j);
   }
   return vC + xs.c_move;
+}
+
+// ---------------------------------------------------------------------
+// Lanes-as-samples log-space Forward (model calibration).
+//
+// Calibration scores a few hundred random sequences that all have the
+// same length, so each float lane carries one whole sample — the paper's
+// warp-per-sequence tier at lane granularity — and lane j runs
+// cpu::generic_forward's table-driven recurrence on sample j, operation
+// for operation:
+//   * add_scores(a, b) is a + b with -inf selected where either side is
+//     -inf;
+//   * LogSumTable::operator()(a, b) is the same ordered chain as selects:
+//     the a == -inf and b == -inf tests, d = a - b, d >= 0, |d|, the
+//     |d| >= kTableWidth cut-off, |d| * kScale, the truncating convert
+//     and the read of the same process-wide table (lookup_f);
+//   * msc(k, x_j) is a lookup_f of lane j's residue code in node k's row.
+// Every IEEE operation a lane performs is one the scalar code performs,
+// on the same operands and in the same order; selects move bits without
+// rounding; no multiply feeds an add, so there is nothing to contract.
+// The kernel leaves MXCSR alone (the scalar reference runs without
+// flush-to-zero), so each lane's score is bitwise generic_forward's at
+// every tier and width — unlike fwd_kernel, whose sum order follows the
+// striping (docs/simd_dispatch.md §5).
+// ---------------------------------------------------------------------
+
+/// Forward scores (nats) of N = V::kLanes sequences of one length L, one
+/// per lane: lane j's codes are seqs[j*L .. j*L + L).  dp is caller
+/// scratch of 3*M*N floats; scores receives N floats, scores[j] bitwise
+/// cpu::generic_forward(prof, seqs + j*L, L).
+template <class V>
+void fwd_lanes_kernel(const hmm::SearchProfile& prof,
+                      const std::uint8_t* seqs, std::size_t L, float* dp,
+                      float* scores) {
+  constexpr int N = V::kLanes;
+  FINEHMM_CHECK(L >= 1, "cannot score an empty sequence");
+  const int M = prof.length();
+  const std::size_t n = static_cast<std::size_t>(M) * N;
+  float* const mmx = dp;  // M(k) at (k-1)*N, one row, updated in place
+  float* const imx = dp + n;
+  float* const dmx = dp + 2 * n;
+  std::fill(dp, dp + 3 * n, kNegInf);
+
+  const V ninf = V::splat(kNegInf);
+  const V zero = V::splat(0.0f);
+  const V width = V::splat(LogSumTable::kTableWidth);
+  const V scale = V::splat(LogSumTable::kScale);
+  const float* const table = LogSumTable::instance().data();
+  const auto every_lane = ge_f(zero, zero);  // 0 >= 0 in every lane
+
+  // add_scores with one lane-shared operand (a transition or special).
+  auto add = [&](V a, float t) {
+    if (t == kNegInf) return ninf;
+    return select_f(ge_f(ninf, a), ninf, add_f(a, V::splat(t)));
+  };
+  // add_scores with two per-lane operands.
+  auto add_v = [&](V a, V b) {
+    const V r = select_f(ge_f(ninf, a), ninf, add_f(a, b));
+    return select_f(ge_f(ninf, b), ninf, r);
+  };
+  // LogSumTable::operator()(a, b).  ge_f(ninf, x) is exactly x == -inf;
+  // `near` is !(ad >= kTableWidth) for every ad the -inf tests let
+  // through, and gates the gather so no lane reads outside the table.
+  auto lse = [&](V a, V b) {
+    const auto a_ninf = ge_f(ninf, a);
+    const auto b_ninf = ge_f(ninf, b);
+    const V d = sub_f(a, b);
+    const auto d_pos = ge_f(d, zero);
+    const V hi = select_f(d_pos, a, b);
+    const V ad = select_f(d_pos, d, sub_f(zero, d));
+    const auto near = gt_f(width, ad);
+    const V corr = lookup_f(table, mul_f(ad, scale), near, zero);
+    V r = select_f(near, add_f(hi, corr), hi);
+    r = select_f(b_ninf, a, r);
+    return select_f(a_ninf, b, r);
+  };
+
+  const auto xs = prof.xsc_for(static_cast<int>(L));
+  V xN = zero;
+  V xB = add_f(xN, V::splat(xs.n_move));
+  V xJ = ninf;
+  V xC = ninf;
+  alignas(64) float codes[N];
+
+  for (std::size_t i = 0; i < L; ++i) {
+    for (int j = 0; j < N; ++j)
+      codes[j] = static_cast<float>(seqs[static_cast<std::size_t>(j) * L + i]);
+    const V xv = V::load(codes);
+    V xE = ninf;
+    V mp = ninf, ip = ninf, dpv = ninf;  // row i-1 at k-1
+    V ml = ninf, dl = ninf;              // row i at k-1
+    for (int k = 1; k <= M; ++k) {
+      const std::size_t at = static_cast<std::size_t>(k - 1) * N;
+      V m = add(xB, prof.tsc(k - 1, hmm::kPTBM));
+      m = lse(m, add(mp, prof.tsc(k - 1, hmm::kPTMM)));
+      m = lse(m, add(ip, prof.tsc(k - 1, hmm::kPTIM)));
+      m = lse(m, add(dpv, prof.tsc(k - 1, hmm::kPTDM)));
+      m = add_v(m, lookup_f(prof.msc_row(k), xv, every_lane, ninf));
+      xE = lse(xE, add(m, prof.esc(k)));
+
+      mp = V::load(mmx + at);
+      ip = V::load(imx + at);
+      dpv = V::load(dmx + at);
+      const V iv = k < M ? lse(add(mp, prof.tsc(k, hmm::kPTMI)),
+                               add(ip, prof.tsc(k, hmm::kPTII)))
+                         : ninf;
+      const V dv = k >= 2 ? lse(add(ml, prof.tsc(k - 1, hmm::kPTMD)),
+                                add(dl, prof.tsc(k - 1, hmm::kPTDD)))
+                          : ninf;
+      m.store(mmx + at);
+      iv.store(imx + at);
+      dv.store(dmx + at);
+      ml = m;
+      dl = dv;
+    }
+    xJ = lse(add(xJ, xs.j_loop), add(xE, xs.e_j));
+    xC = lse(add(xC, xs.c_loop), add(xE, xs.e_c));
+    xN = add(xN, xs.n_loop);
+    xB = lse(add(xN, xs.n_move), add(xJ, xs.j_move));
+  }
+  add(xC, xs.c_move).store(scores);
 }
 
 }  // namespace finehmm::cpu::simd_kernels

@@ -127,6 +127,9 @@ struct AvxF32x8 {
   friend AvxF32x8 add_f(AvxF32x8 a, AvxF32x8 b) {
     return {_mm256_add_ps(a.v, b.v)};
   }
+  friend AvxF32x8 sub_f(AvxF32x8 a, AvxF32x8 b) {
+    return {_mm256_sub_ps(a.v, b.v)};
+  }
   friend AvxF32x8 mul_f(AvxF32x8 a, AvxF32x8 b) {
     return {_mm256_mul_ps(a.v, b.v)};
   }
@@ -159,14 +162,25 @@ struct AvxF32x8 {
     return s;
   }
 
-  // Lane masks for the trace kernel: all-ones / all-zeros float lanes.
+  // Lane masks for the trace and lanes-as-samples Forward kernels:
+  // all-ones / all-zeros float lanes.
   using Mask = __m256;
   friend Mask gt_f(AvxF32x8 a, AvxF32x8 b) {
     return _mm256_cmp_ps(a.v, b.v, _CMP_GT_OQ);
   }
+  friend Mask ge_f(AvxF32x8 a, AvxF32x8 b) {
+    return _mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ);
+  }
   /// Lane-wise m ? a : b.
   friend AvxF32x8 select_f(Mask m, AvxF32x8 a, AvxF32x8 b) {
     return {_mm256_blendv_ps(b.v, a.v, m)};
+  }
+  /// Lanes in m read table[truncated pos] (CVTTPS2DQ + VGATHERDPS), the
+  /// others keep src; masked-off lanes load nothing.
+  friend AvxF32x8 lookup_f(const float* table, AvxF32x8 pos, Mask m,
+                           AvxF32x8 src) {
+    return {_mm256_mask_i32gather_ps(src.v, table,
+                                     _mm256_cvttps_epi32(pos.v), m, 4)};
   }
   /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
   /// in bits 4j..4j+3: narrow to bytes, then fold byte pairs.

@@ -130,6 +130,9 @@ struct Avx512F32x16 {
   friend Avx512F32x16 add_f(Avx512F32x16 a, Avx512F32x16 b) {
     return {_mm512_add_ps(a.v, b.v)};
   }
+  friend Avx512F32x16 sub_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return {_mm512_sub_ps(a.v, b.v)};
+  }
   friend Avx512F32x16 mul_f(Avx512F32x16 a, Avx512F32x16 b) {
     return {_mm512_mul_ps(a.v, b.v)};
   }
@@ -155,14 +158,25 @@ struct Avx512F32x16 {
     return s;
   }
 
-  // Lane masks for the trace kernel: one k-register bit per lane.
+  // Lane masks for the trace and lanes-as-samples Forward kernels: one
+  // k-register bit per lane.
   using Mask = __mmask16;
   friend Mask gt_f(Avx512F32x16 a, Avx512F32x16 b) {
     return _mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ);
   }
+  friend Mask ge_f(Avx512F32x16 a, Avx512F32x16 b) {
+    return _mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ);
+  }
   /// Lane-wise m ? a : b.
   friend Avx512F32x16 select_f(Mask m, Avx512F32x16 a, Avx512F32x16 b) {
     return {_mm512_mask_blend_ps(m, b.v, a.v)};
+  }
+  /// Lanes in m read table[truncated pos] (VCVTTPS2DQ + VGATHERDPS), the
+  /// others keep src; masked-off lanes load nothing.
+  friend Avx512F32x16 lookup_f(const float* table, Avx512F32x16 pos, Mask m,
+                               Avx512F32x16 src) {
+    return {_mm512_mask_i32gather_ps(src.v, m, _mm512_cvttps_epi32(pos.v),
+                                     table, 4)};
   }
   /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
   /// in bits 4j..4j+3: VPMOVDB narrows to bytes, then byte pairs fold

@@ -119,6 +119,9 @@ struct SseF32x4 {
   friend SseF32x4 add_f(SseF32x4 a, SseF32x4 b) {
     return {_mm_add_ps(a.v, b.v)};
   }
+  friend SseF32x4 sub_f(SseF32x4 a, SseF32x4 b) {
+    return {_mm_sub_ps(a.v, b.v)};
+  }
   friend SseF32x4 mul_f(SseF32x4 a, SseF32x4 b) {
     return {_mm_mul_ps(a.v, b.v)};
   }
@@ -144,13 +147,28 @@ struct SseF32x4 {
     return s;
   }
 
-  // Lane masks for the trace kernel: an all-ones / all-zeros float lane
-  // per comparison, blended bitwise (SSE2 has no blendv).
+  // Lane masks for the trace and lanes-as-samples Forward kernels: an
+  // all-ones / all-zeros float lane per comparison, blended bitwise (SSE2
+  // has no blendv).
   using Mask = __m128;
   friend Mask gt_f(SseF32x4 a, SseF32x4 b) { return _mm_cmpgt_ps(a.v, b.v); }
+  friend Mask ge_f(SseF32x4 a, SseF32x4 b) { return _mm_cmpge_ps(a.v, b.v); }
   /// Lane-wise m ? a : b.
   friend SseF32x4 select_f(Mask m, SseF32x4 a, SseF32x4 b) {
     return {_mm_or_ps(_mm_and_ps(m, a.v), _mm_andnot_ps(m, b.v))};
+  }
+  /// Lanes in m read table[truncated pos], the others keep src.  SSE2
+  /// has no gather: CVTTPS2DQ, then a loop over the mask's lanes.
+  friend SseF32x4 lookup_f(const float* table, SseF32x4 pos, Mask m,
+                           SseF32x4 src) {
+    alignas(16) std::int32_t idx[4];
+    alignas(16) float out[4];
+    _mm_store_si128(reinterpret_cast<__m128i*>(idx), _mm_cvttps_epi32(pos.v));
+    _mm_store_ps(out, src.v);
+    const int lanes = _mm_movemask_ps(m);
+    for (int j = 0; j < 4; ++j)
+      if ((lanes >> j) & 1) out[j] = table[idx[j]];
+    return {_mm_load_ps(out)};
   }
   /// Lane codes 0..15 (held as floats) packed one nibble per lane, lane j
   /// in bits 4j..4j+3: narrow to bytes, then fold byte pairs.

@@ -163,6 +163,11 @@ struct F32xN {
     for (int i = 0; i < N; ++i) r.v[i] = a.v[i] + b.v[i];
     return r;
   }
+  friend F32xN sub_f(F32xN a, F32xN b) {
+    F32xN r;
+    for (int i = 0; i < N; ++i) r.v[i] = a.v[i] - b.v[i];
+    return r;
+  }
   friend F32xN mul_f(F32xN a, F32xN b) {
     F32xN r;
     for (int i = 0; i < N; ++i) r.v[i] = a.v[i] * b.v[i];
@@ -202,10 +207,26 @@ struct F32xN {
       if (a.v[i] > b.v[i]) m |= Mask{1} << i;
     return m;
   }
+  /// Lane-wise a >= b (false when either lane is NaN).
+  friend Mask ge_f(F32xN a, F32xN b) {
+    Mask m = 0;
+    for (int i = 0; i < N; ++i)
+      if (a.v[i] >= b.v[i]) m |= Mask{1} << i;
+    return m;
+  }
   /// Lane-wise m ? a : b.
   friend F32xN select_f(Mask m, F32xN a, F32xN b) {
     F32xN r;
     for (int i = 0; i < N; ++i) r.v[i] = (m >> i) & 1 ? a.v[i] : b.v[i];
+    return r;
+  }
+  /// Table gather: lanes in m read table[static_cast<int>(pos)] (the
+  /// position truncated toward zero), the others keep src.  Lanes outside
+  /// m are never converted or read, so their pos may be anything.
+  friend F32xN lookup_f(const float* table, F32xN pos, Mask m, F32xN src) {
+    F32xN r;
+    for (int i = 0; i < N; ++i)
+      r.v[i] = (m >> i) & 1 ? table[static_cast<int>(pos.v[i])] : src.v[i];
     return r;
   }
   /// Lanes holding small integer codes 0..15 packed one nibble per lane:

@@ -87,6 +87,10 @@ class SearchProfile {
   float msc(int k, int x) const {
     return msc_[static_cast<std::size_t>(k) * bio::kKp + x];
   }
+  /// Node k's match emission scores, indexed by alphabet code (Kp floats).
+  const float* msc_row(int k) const {
+    return msc_.data() + static_cast<std::size_t>(k) * bio::kKp;
+  }
   /// Insert emission score (0 in local mode, but kept for generality).
   float isc(int k, int x) const {
     (void)k;

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "cpu/fwd_filter.hpp"
+#include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
 #include "obs/recorder.hpp"
 #include "pipeline/batch_scanner.hpp"
@@ -50,18 +51,6 @@ struct HmmSearch::Scratch {
 };
 
 namespace {
-
-/// Bit score of a byte-filter result; an overflowed byte score becomes a
-/// conservative lower bound.
-float byte_bits(const profile::MsvProfile& msv, cpu::FilterResult r,
-                std::size_t L) {
-  const int len = static_cast<int>(L);
-  return r.overflowed
-             ? hmm::nats_to_bits((255.0f - msv.bias() - msv.base()) /
-                                     msv.scale(),
-                                 len)
-             : hmm::nats_to_bits(r.score_nats, len);
-}
 
 // The byte filters consume either representation without a decode: the
 // packed overloads instantiate the identical kernel loop, so the branch
@@ -199,12 +188,13 @@ void fill_threads(obs::ScanTelemetry& t, std::size_t crew,
 
 bool HmmSearch::ssv_gate(cpu::FilterResult r, std::size_t L) const {
   return r.overflowed ||
-         stats_.ssv_pvalue(byte_bits(msv_, r, L)) <= thr_.ssv_p;
+         stats_.ssv_pvalue(cpu::byte_bits(msv_, r, static_cast<int>(L))) <=
+             thr_.ssv_p;
 }
 
 bool HmmSearch::msv_gate(cpu::FilterResult r, std::size_t L,
                          float& bits) const {
-  bits = byte_bits(msv_, r, L);
+  bits = cpu::byte_bits(msv_, r, static_cast<int>(L));
   return r.overflowed || stats_.msv_pvalue(bits) <= thr_.msv_p;
 }
 

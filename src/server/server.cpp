@@ -260,6 +260,12 @@ void SearchServer::scheduler_loop() {
     const PopStatus st = queue_.pop_wait(first, std::chrono::milliseconds(50));
     if (st == PopStatus::kClosed) break;  // drained: every admitted item done
     if (st == PopStatus::kTimeout) continue;
+    {
+      // A pause set while pop_wait was blocked holds the item it returned:
+      // a paused scheduler runs nothing.
+      MutexLock lock(state_mu_);
+      while (paused_) pause_cv_.wait(state_mu_);
+    }
 
     batch.clear();
     first->popped_at = SteadyClock::now();  // ends the queue-wait span

@@ -31,8 +31,9 @@ struct CalibrateOptions {
   int sample_length = 100; // HMMER default
   std::uint64_t seed = 0x5eed;
   double fwd_tail_mass = 0.04;
-  /// Skip the Forward calibration (it is the slow part; the filter-only
-  /// benchmarks don't need it).
+  /// Skip the Forward calibration (the filter-only benchmarks don't need
+  /// it).  The Forward runs one sample per SIMD lane and is bitwise the
+  /// scalar generic_forward on every tier; it is still most of the time.
   bool with_forward = true;
 };
 

@@ -32,6 +32,9 @@ class LogSumTable {
  public:
   static constexpr float kTableWidth = 23.0f;  // exp(-23) ~ 1e-10
   static constexpr int kTableSize = 16000;
+  /// Table slots per nat: |a - b| indexes the table at
+  /// static_cast<int>(|a - b| * kScale).
+  static constexpr float kScale = kTableSize / kTableWidth;
 
   LogSumTable();
 
@@ -45,11 +48,14 @@ class LogSumTable {
     return hi + table_[static_cast<int>(ad * kScale)];
   }
 
+  /// The kTableSize correction terms, read-only (the lanes-as-samples
+  /// Forward gathers from them with the index operator() computes).
+  const float* data() const noexcept { return table_; }
+
   /// Process-wide instance (construction is cheap and thread-safe).
   static const LogSumTable& instance();
 
  private:
-  static constexpr float kScale = kTableSize / kTableWidth;
   float table_[kTableSize];
 };
 

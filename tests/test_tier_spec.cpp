@@ -10,6 +10,7 @@
 // the same width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -301,6 +302,21 @@ TEST(TierSpec, EveryRowEntryMatchesThePortableSpecAtItsWidth) {
         EXPECT_EQ(tr_want.bj, tr_got.bj) << w << " trace J";
         EXPECT_EQ(tr_want.bc, tr_got.bc) << w << " trace C";
         EXPECT_EQ(tr_want.bb, tr_got.bb) << w << " trace B";
+
+        // Lanes-as-samples Forward: lane j scores this sequence rotated
+        // left by j residues.
+        const std::size_t nf = static_cast<std::size_t>(nat.f32_lanes);
+        std::vector<std::uint8_t> lanes(nf * L);
+        for (std::size_t j = 0; j < nf; ++j)
+          std::rotate_copy(codes.begin(),
+                           codes.begin() + static_cast<std::ptrdiff_t>(j % L),
+                           codes.end(), lanes.begin() +
+                                            static_cast<std::ptrdiff_t>(j * L));
+        std::vector<float> fl_dp(3 * static_cast<std::size_t>(M) * nf);
+        std::vector<float> fl_want(nf), fl_got(nf);
+        spec.fwd_lanes(m.prof, lanes.data(), L, fl_dp.data(), fl_want.data());
+        nat.fwd_lanes(m.prof, lanes.data(), L, fl_dp.data(), fl_got.data());
+        expect_same_floats(fl_want, fl_got, w + " fwd_lanes");
 
         std::vector<std::uint8_t> rg(ngr);
         auto check_group = [&](auto spec_fn, auto nat_fn, auto s,
