@@ -10,7 +10,9 @@
 // overhead.  Results are written to BENCH_throughput.json (machine
 // readable; cells/sec per stage x tier x threads — including the
 // single-thread M=400 "trace" and "calibrate" rows and their "scalar"
-// references — and per pipeline engine x threads, with host info) for the
+// references, and the single-thread Viterbi kernel rows "vit_m48",
+// "vit_m400" (with a "scalar" reference) and "vit_m1002" — and per
+// pipeline engine x threads, with host info) for the
 // roadmap's evidence trail.
 //
 // Usage: bench_throughput [db_scale] [model_length] [out.json]
@@ -34,6 +36,8 @@
 #include "cpu/generic.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/trace.hpp"
+#include "cpu/vit_filter.hpp"
+#include "cpu/vit_scalar.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/model_group.hpp"
 #include "hmm/profile.hpp"
@@ -353,6 +357,50 @@ std::vector<Record> bench_trace(const bio::SequenceDatabase& db,
   return out;
 }
 
+/// The word Viterbi filter kernel alone: one thread over the first `n`
+/// sequences, a row per supported tier at each M in {48, 400, 1002}
+/// (stages "vit_m48", "vit_m400", "vit_m1002"), plus the scalar reference
+/// cpu::vit_scalar at M = 400 (tier "scalar" of "vit_m400").
+std::vector<Record> bench_vit_kernel(const bio::SequenceDatabase& db,
+                                     std::size_t n) {
+  struct Size {
+    int M;
+    const char* stage;
+  };
+  const Size sizes[] = {{48, "vit_m48"}, {400, "vit_m400"},
+                        {1002, "vit_m1002"}};
+  std::vector<Record> out;
+  for (const Size& sz : sizes) {
+    const auto model = hmm::paper_model(sz.M);
+    const hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
+    const profile::VitProfile vit(prof);
+    double cells = 0;
+    for (std::size_t s = 0; s < n; ++s)
+      cells += static_cast<double>(db[s].length()) * sz.M;
+    auto timed = [&](const char* tier, auto&& score_one) {
+      score_one(0);  // warm-up
+      Timer timer;
+      for (std::size_t s = 0; s < n; ++s) score_one(s);
+      return Record{sz.stage, tier, 1, cells, timer.seconds()};
+    };
+    const std::size_t first = out.size();
+    for (cpu::SimdTier tier : cpu::supported_simd_tiers()) {
+      cpu::VitFilter filter(vit, tier);
+      out.push_back(timed(cpu::simd_tier_name(tier), [&](std::size_t s) {
+        filter.score(db[s].codes.data(), db[s].length());
+      }));
+    }
+    if (sz.M == 400)
+      out.push_back(timed("scalar", [&](std::size_t s) {
+        cpu::vit_scalar(vit, db[s].codes.data(), db[s].length());
+      }));
+    for (std::size_t i = first; i < out.size(); ++i)
+      std::printf("vit kernel M=%d tier=%-8s threads=1  %.3g cells/s\n",
+                  sz.M, out[i].tier, out[i].cells_per_sec());
+  }
+  return out;
+}
+
 /// The calibration Forward (stats::calibrate's 200 random length-100
 /// samples) at M = 400 on one thread: a "calibrate" row per supported
 /// tier (cpu::generic_forward_batch, one sample per float lane) plus the
@@ -567,6 +615,7 @@ int main(int argc, char** argv) {
   cpu::reset_simd_tier();
 
   for (const auto& r : bench_trace(db, n_word)) records.push_back(r);
+  for (const auto& r : bench_vit_kernel(db, n_word)) records.push_back(r);
   for (const auto& r : bench_calibrate()) records.push_back(r);
 
   // Full-pipeline end-to-end: heap-parallel vs. mmap-overlapped engines

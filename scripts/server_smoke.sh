@@ -62,7 +62,7 @@ print(urllib.request.urlopen(sys.argv[1], timeout=10).read().decode(), end="")' 
 echo "== ping =="
 "$TOOLS_DIR/finehmm_client" "$ADDR" --ping | grep -qx pong
 
-echo "== connection churn: 200 closed connections leave no threads behind =="
+echo "== connection churn: 200 closed connections leave no threads or stacks behind =="
 # Each session thread ends with its connection.  A daemon whose session
 # threads outlive their connections would still run about 200 more after
 # the churn, so the daemon's thread count (the kernel's Threads: line, not
@@ -70,7 +70,17 @@ echo "== connection churn: 200 closed connections leave no threads behind =="
 # back to its pre-churn value; the last sessions may still be closing, so
 # poll for up to 10 s.
 threads() { awk '/^Threads:/ {print $2}' "/proc/$DAEMON_PID/status"; }
+# A session thread that exits but is never joined keeps its stack mapped,
+# though it no longer counts in Threads:.  A thread stack is an anonymous
+# rw-p region with an anonymous PROT_NONE guard page directly below it.
+stacks() {
+  awk '{ split($1, r, "-"); anon = (NF == 5 && $5 == 0)
+         if (anon && $2 == "rw-p" && guard && r[1] == guard_end) n++
+         guard = (anon && $2 == "---p"); guard_end = r[2] }
+       END { print n + 0 }' "/proc/$DAEMON_PID/maps"
+}
 THREADS_BEFORE=$(threads)
+STACKS_BEFORE=$(stacks)
 for _ in $(seq 1 200); do
   "$TOOLS_DIR/finehmm_client" "$ADDR" --ping > /dev/null
 done
@@ -83,6 +93,15 @@ echo "daemon threads: $THREADS_BEFORE before 200 connections, $THREADS_AFTER aft
 [ "$THREADS_AFTER" -le "$THREADS_BEFORE" ] || {
   echo "the churn left $((THREADS_AFTER - THREADS_BEFORE)) threads behind:" \
     "closed sessions were not reaped"
+  exit 1; }
+# Joined stacks are unmapped or kept in glibc's stack cache (40 MiB, a
+# handful of stacks); one stack per closed connection means the ended
+# session threads were never joined.
+STACKS_AFTER=$(stacks)
+echo "mapped thread stacks: $STACKS_BEFORE before, $STACKS_AFTER after"
+[ "$STACKS_AFTER" -le $((STACKS_BEFORE + 16)) ] || {
+  echo "the churn left $((STACKS_AFTER - STACKS_BEFORE)) thread stacks" \
+    "mapped: ended sessions were not joined"
   exit 1; }
 # The STATS probe is itself one open connection; the last ping's session
 # may still be closing, so poll briefly.

@@ -154,6 +154,12 @@ struct TierKernels {
   /// bytes loaded from a and b.  The native classes exist only inside their
   /// ISA translation units, so this is how tests reach the op.
   bool (*any_gt_u8)(const std::uint8_t* a, const std::uint8_t* b) = nullptr;
+  /// The word class's Viterbi adds on i16_lanes words loaded from a and t,
+  /// stored to out (same reason: the lane-op tests reach them here).
+  void (*adds_trans_w)(const std::int16_t* a, const std::int16_t* t,
+                       std::int16_t* out) = nullptr;
+  void (*adds_emit_w)(const std::int16_t* a, const std::int16_t* t,
+                      std::int16_t* out) = nullptr;
 };
 
 /// The one row recipe: every kernel instantiated with the byte class U8,
@@ -185,6 +191,14 @@ constexpr TierKernels make_tier_row(SimdTier tier) {
   row.ssv_group_packed = &k::ssv_group_kernel<U8, PackedResidues>;
   row.any_gt_u8 = [](const std::uint8_t* a, const std::uint8_t* b) {
     return any_gt_u8(U8::load(a), U8::load(b));
+  };
+  row.adds_trans_w = [](const std::int16_t* a, const std::int16_t* t,
+                        std::int16_t* out) {
+    adds_trans_w(I16::load(a), I16::load(t)).store(out);
+  };
+  row.adds_emit_w = [](const std::int16_t* a, const std::int16_t* t,
+                       std::int16_t* out) {
+    adds_emit_w(I16::load(a), I16::load(t)).store(out);
   };
   return row;
 }

@@ -3,7 +3,9 @@
 // Each kernel is the single definition of its filter's inner loop,
 // templated on a vector class V that supplies the lane operations via
 // ADL-found friends (splat/load/store, max_u8/adds_u8/subs_u8/hmax_u8/
-// any_gt_u8 for bytes; max_i16/adds_w/hmax_i16/any_gt_i16 for words;
+// any_gt_u8 for bytes; max_i16/hmax_i16/any_gt_i16 and the two Viterbi
+// adds adds_trans_w (transition: plain saturating, -inf parameter gives
+// -inf) and adds_emit_w (emission: also clamps at -32767) for words;
 // add_f/mul_f/hsum_f/shift_lanes_down for floats, plus gt_f/select_f/
 // pack_nibbles and a filled shift_lanes_up for the trace kernel and
 // sub_f/ge_f/lookup_f for the lanes-as-samples Forward; shift_lanes_up
@@ -401,7 +403,32 @@ struct VitStripesView {
 
 /// Striped ViterbiFilter with Lazy-F over N = V::kLanes word lanes.
 /// mmx/imx/dmx are caller-owned scratch of Q*N words each; lazyf_passes
-/// (optional) receives the number of wrap passes executed.
+/// (optional) receives the number of wrap passes that improved at least
+/// one stripe.
+///
+/// Exactness with the sticky add.  vit_scalar adds with sat_add_word
+/// everywhere; this kernel uses it only for the scalar specials and
+/// otherwise two cheaper lane ops, and still returns its score bit for
+/// bit:
+///   * xBv = xB (+) entry is finite (>= -32767) on every row: xN stays
+///     finite under the sticky clamp, and move and entry are finite.
+///   * Pre-emission M is max(xBv, M+tMM, I+tIM, D+tDM), so a term at or
+///     below -32767 cannot change it.  I and D reach the score only
+///     through the next row's M terms, which have the same floor.
+///   * Transition words are <= 0 (VitProfile checks it), so a -inf cell
+///     plus a finite t already saturates to -32768.
+/// Hence the seven transition adds (M, I and D terms, and the Lazy-F
+/// carry) use adds_trans_w, a plain saturating add that still maps a -inf
+/// parameter to -inf.  By induction every computed cell equals the sticky
+/// cell wherever the sticky cell is > -32767, and both are <= -32767
+/// elsewhere; M, and therefore xE, is exact.  The emission add keeps the
+/// -32767 clamp and the -inf-parameter rule (adds_emit_w), because msc can
+/// be positive or -inf; its left operand, pre-emission M >= xBv, is never
+/// -inf, so there it is sat_add_word exactly.
+///
+/// Lazy-F stops at the first stripe where no lane of the carry improves
+/// (HMMER's `while (q == Q)`): every later stripe already holds its
+/// in-lane D->D carry, so nothing downstream can change.
 template <class V, class Seq>
 FilterResult vit_kernel(const profile::VitProfile& prof,
                         const VitStripesView& st, Seq seq, std::size_t L,
@@ -438,7 +465,10 @@ FilterResult vit_kernel(const profile::VitProfile& prof,
         st.msc + static_cast<std::size_t>(seq[i]) * Q * N;
     V xEv = V::neg_inf();
     V dcv = V::neg_inf();
-    const V xBv = V::splat(sat_add_word(xB, prof.entry()));
+    const std::int16_t xb_entry = sat_add_word(xB, prof.entry());
+    // The floor every pre-emission M term is compared against.
+    FINEHMM_DCHECK(xb_entry > kWordNegInf, "xB + entry must stay finite");
+    const V xBv = V::splat(xb_entry);
 
     // Previous row's last stripe, lanes shifted up = the diagonal.
     V mpv = shift_lanes_up(V::load(stripe(mmx, Q - 1)));
@@ -448,10 +478,10 @@ FilterResult vit_kernel(const profile::VitProfile& prof,
     for (int q = 0; q < Q; ++q) {
       const std::size_t off = static_cast<std::size_t>(q) * N;
       V sv = xBv;
-      sv = max_i16(sv, adds_w(mpv, V::load(st.tmm + off)));
-      sv = max_i16(sv, adds_w(ipv, V::load(st.tim + off)));
-      sv = max_i16(sv, adds_w(dpv, V::load(st.tdm + off)));
-      sv = adds_w(sv, V::load(msr + off));
+      sv = max_i16(sv, adds_trans_w(mpv, V::load(st.tmm + off)));
+      sv = max_i16(sv, adds_trans_w(ipv, V::load(st.tim + off)));
+      sv = max_i16(sv, adds_trans_w(dpv, V::load(st.tdm + off)));
+      sv = adds_emit_w(sv, V::load(msr + off));
       xEv = max_i16(xEv, sv);
 
       // Stash previous-row stripes before overwriting (double buffer).
@@ -463,31 +493,31 @@ FilterResult vit_kernel(const profile::VitProfile& prof,
       dcv.store(stripe(dmx, q));
 
       // Next position's D: M->D from this stripe, or D->D continuation.
-      dcv = max_i16(adds_w(sv, V::load(st.tmd + off)),
-                    adds_w(dcv, V::load(st.tdd + off)));
+      dcv = max_i16(adds_trans_w(sv, V::load(st.tmd + off)),
+                    adds_trans_w(dcv, V::load(st.tdd + off)));
 
-      V iv = max_i16(adds_w(mpv, V::load(st.tmi + off)),
-                     adds_w(ipv, V::load(st.tii + off)));
+      V iv = max_i16(adds_trans_w(mpv, V::load(st.tmi + off)),
+                     adds_trans_w(ipv, V::load(st.tii + off)));
       iv.store(stripe(imx, q));
     }
 
-    // Lazy-F: wrap the dangling D chain into the next lane and keep
-    // propagating while anything improves.
+    // Lazy-F: wrap the dangling D chain into the next lane and propagate
+    // it until a stripe does not improve.  A pass that runs off the last
+    // stripe wraps again; a chain crosses at most N - 1 lane boundaries.
     dcv = shift_lanes_up(dcv);
     for (int pass = 0; pass < N; ++pass) {
-      bool improved = false;
-      for (int q = 0; q < Q; ++q) {
+      int q = 0;
+      for (; q < Q; ++q) {
         const std::size_t off = static_cast<std::size_t>(q) * N;
         V cur = V::load(stripe(dmx, q));
-        if (any_gt_i16(dcv, cur)) {
-          improved = true;
-          cur = max_i16(cur, dcv);
-          cur.store(stripe(dmx, q));
-        }
-        dcv = adds_w(cur, V::load(st.tdd + off));
+        if (!any_gt_i16(dcv, cur)) break;
+        cur = max_i16(cur, dcv);
+        cur.store(stripe(dmx, q));
+        dcv = adds_trans_w(cur, V::load(st.tdd + off));
       }
-      if (!improved) break;
+      if (q == 0) break;
       ++passes;
+      if (q < Q) break;
       dcv = shift_lanes_up(dcv);
     }
 
@@ -495,18 +525,22 @@ FilterResult vit_kernel(const profile::VitProfile& prof,
     // Lazy-F convergence: one more full wrap pass must leave every D cell
     // unchanged, i.e. the delete chain has reached its fixpoint.  This is
     // what licenses skipping the serial D recurrence in the striped
-    // kernel (the paper's Lazy-F condition); if the N-pass cap above ever
-    // exits before convergence, scores silently go wrong — so the
-    // sanitizer/debug builds sweep the whole row here.
+    // kernel (the paper's Lazy-F condition); if the early stop or the
+    // N-pass cap above ever exits before convergence, scores silently go
+    // wrong — so the sanitizer/debug builds sweep the whole row here, with
+    // the kernel's own add (sat_add_word would differ in the <= -32767
+    // band and fire falsely).
     {
-      V carry = adds_w(V::load(stripe(dmx, Q - 1)),
-                       V::load(st.tdd + static_cast<std::size_t>(Q - 1) * N));
+      V carry = adds_trans_w(
+          V::load(stripe(dmx, Q - 1)),
+          V::load(st.tdd + static_cast<std::size_t>(Q - 1) * N));
       carry = shift_lanes_up(carry);
       bool would_improve = false;
       for (int q = 0; q < Q && !would_improve; ++q) {
         const V cur = V::load(stripe(dmx, q));
         if (any_gt_i16(carry, cur)) would_improve = true;
-        carry = adds_w(cur, V::load(st.tdd + static_cast<std::size_t>(q) * N));
+        carry = adds_trans_w(
+            cur, V::load(st.tdd + static_cast<std::size_t>(q) * N));
       }
       FINEHMM_DCHECK(!would_improve, "Lazy-F did not reach its fixpoint");
     }

@@ -84,14 +84,21 @@ struct AvxI16x16 {
   friend AvxI16x16 max_i16(AvxI16x16 a, AvxI16x16 b) {
     return {_mm256_max_epi16(a.v, b.v)};
   }
-  /// Sticky -inf saturating add (lane-wise profile::sat_add_word).
-  friend AvxI16x16 adds_w(AvxI16x16 a, AvxI16x16 b) {
+  /// 32767 where t is finite, -32768 where t is -inf (see SseI16x8).
+  static __m256i finite_cap(__m256i t) {
     const __m256i ninf = _mm256_set1_epi16(profile::kWordNegInf);
-    __m256i sum = _mm256_adds_epi16(a.v, b.v);
-    sum = _mm256_max_epi16(sum, _mm256_set1_epi16(-32767));
-    __m256i is_ninf = _mm256_or_si256(_mm256_cmpeq_epi16(a.v, ninf),
-                                      _mm256_cmpeq_epi16(b.v, ninf));
-    return {_mm256_blendv_epi8(sum, ninf, is_ninf)};
+    return _mm256_xor_si256(_mm256_cmpgt_epi16(t, ninf), ninf);
+  }
+  /// Transition add (I16xN::adds_trans_w): min(adds(a, t), cap).
+  friend AvxI16x16 adds_trans_w(AvxI16x16 a, AvxI16x16 t) {
+    return {_mm256_min_epi16(_mm256_adds_epi16(a.v, t.v), finite_cap(t.v))};
+  }
+  /// Emission add (I16xN::adds_emit_w): the transition add with the
+  /// finite sum clamped at -32767.
+  friend AvxI16x16 adds_emit_w(AvxI16x16 a, AvxI16x16 e) {
+    const __m256i sum = _mm256_max_epi16(_mm256_adds_epi16(a.v, e.v),
+                                         _mm256_set1_epi16(-32767));
+    return {_mm256_min_epi16(sum, finite_cap(e.v))};
   }
   /// Word lane j <- lane j-1 across all 16 lanes, lane 0 <- fill: the
   /// carry copy's low half must expose `fill` as its top word so the

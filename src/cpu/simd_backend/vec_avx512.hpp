@@ -84,14 +84,20 @@ struct Avx512I16x32 {
   friend Avx512I16x32 max_i16(Avx512I16x32 a, Avx512I16x32 b) {
     return {_mm512_max_epi16(a.v, b.v)};
   }
-  /// Sticky -inf saturating add (lane-wise profile::sat_add_word).
-  friend Avx512I16x32 adds_w(Avx512I16x32 a, Avx512I16x32 b) {
+  /// Transition add (I16xN::adds_trans_w): the saturating add, masked
+  /// to the lanes whose parameter t is finite; the others get -inf.
+  friend Avx512I16x32 adds_trans_w(Avx512I16x32 a, Avx512I16x32 t) {
     const __m512i ninf = _mm512_set1_epi16(profile::kWordNegInf);
-    __m512i sum = _mm512_adds_epi16(a.v, b.v);
-    sum = _mm512_max_epi16(sum, _mm512_set1_epi16(-32767));
-    const __mmask32 is_ninf = _mm512_cmpeq_epi16_mask(a.v, ninf) |
-                              _mm512_cmpeq_epi16_mask(b.v, ninf);
-    return {_mm512_mask_mov_epi16(sum, is_ninf, ninf)};
+    const __mmask32 fin = _mm512_cmpneq_epi16_mask(t.v, ninf);
+    return {_mm512_mask_adds_epi16(ninf, fin, a.v, t.v)};
+  }
+  /// Emission add (I16xN::adds_emit_w): the transition add with the
+  /// finite lanes clamped at -32767.
+  friend Avx512I16x32 adds_emit_w(Avx512I16x32 a, Avx512I16x32 e) {
+    const __m512i ninf = _mm512_set1_epi16(profile::kWordNegInf);
+    const __mmask32 fin = _mm512_cmpneq_epi16_mask(e.v, ninf);
+    const __m512i sum = _mm512_mask_adds_epi16(ninf, fin, a.v, e.v);
+    return {_mm512_mask_max_epi16(sum, fin, sum, _mm512_set1_epi16(-32767))};
   }
   /// Word lane j <- lane j-1 across all 32 lanes, lane 0 <- fill: the
   /// VALIGNQ carry's low 128-bit lane is zero, so its top word (which the

@@ -3,9 +3,10 @@
 // Drop-in intrinsic twins of cpu/simd_vec.hpp's U8x16 / I16x8 / F32x4.
 // Only SSE2 instructions are used (baseline on every x86-64), so this
 // header needs no special compile flags.  Two operations deserve care:
-//   * adds_w must reproduce the library's *sticky -inf* saturating add
-//     (profile::sat_add_word), which plain PADDSW does not: -32768 is a
-//     dedicated -infinity and the finite range is clamped at -32767.
+//   * adds_trans_w/adds_emit_w must map a -inf (-32768) parameter to
+//     -inf, which plain PADDSW does not: a PMINSW against a per-lane cap
+//     (32767, or -32768 where the parameter is -inf) does it; the
+//     emission add also clamps finite sums at -32767.
 //   * hsum_f must accumulate lanes in index order starting from 0.0f so
 //     float Forward scores are bit-identical to the portable class.
 // This header must only be included from translation units that are
@@ -81,15 +82,22 @@ struct SseI16x8 {
   friend SseI16x8 max_i16(SseI16x8 a, SseI16x8 b) {
     return {_mm_max_epi16(a.v, b.v)};
   }
-  /// Sticky -inf saturating add (lane-wise profile::sat_add_word).
-  friend SseI16x8 adds_w(SseI16x8 a, SseI16x8 b) {
+  /// 32767 where t is finite, -32768 where t is -inf: the cap that turns
+  /// a plain PADDSW into the -inf-parameter rule.
+  static __m128i finite_cap(__m128i t) {
     const __m128i ninf = _mm_set1_epi16(profile::kWordNegInf);
-    __m128i sum = _mm_adds_epi16(a.v, b.v);
-    sum = _mm_max_epi16(sum, _mm_set1_epi16(-32767));
-    __m128i is_ninf = _mm_or_si128(_mm_cmpeq_epi16(a.v, ninf),
-                                   _mm_cmpeq_epi16(b.v, ninf));
-    return {_mm_or_si128(_mm_and_si128(is_ninf, ninf),
-                         _mm_andnot_si128(is_ninf, sum))};
+    return _mm_xor_si128(_mm_cmpgt_epi16(t, ninf), ninf);
+  }
+  /// Transition add (I16xN::adds_trans_w): min(adds(a, t), cap).
+  friend SseI16x8 adds_trans_w(SseI16x8 a, SseI16x8 t) {
+    return {_mm_min_epi16(_mm_adds_epi16(a.v, t.v), finite_cap(t.v))};
+  }
+  /// Emission add (I16xN::adds_emit_w): the transition add with the
+  /// finite sum clamped at -32767.
+  friend SseI16x8 adds_emit_w(SseI16x8 a, SseI16x8 e) {
+    const __m128i sum = _mm_max_epi16(_mm_adds_epi16(a.v, e.v),
+                                      _mm_set1_epi16(-32767));
+    return {_mm_min_epi16(sum, finite_cap(e.v))};
   }
   /// Lane j <- lane j-1, lane 0 <- fill (-inf by default).
   friend SseI16x8 shift_lanes_up(SseI16x8 a,

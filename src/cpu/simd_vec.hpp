@@ -7,9 +7,10 @@
 // specification of the native SSE2/AVX2/AVX-512 classes: a kernel
 // instantiated with U8xN/I16xN/F32xN at a tier's lane counts returns the
 // native row's results bit for bit (tests/test_tier_spec.cpp).  They also
-// serve as the specification the SIMT kernels are tested against.  Word
-// adds use the library's sticky -inf saturating semantics (see
-// profile/vit_profile.hpp) so every implementation agrees exactly.
+// serve as the specification the SIMT kernels are tested against.  adds_w
+// is the library's sticky -inf saturating add (profile::sat_add_word)
+// lane-wise; the ViterbiFilter uses the cheaper adds_trans_w/adds_emit_w,
+// whose scores still agree with it exactly (simd_kernels::vit_kernel).
 #pragma once
 
 #include <cstdint>
@@ -111,6 +112,32 @@ struct I16xN {
     I16xN r;
     for (int i = 0; i < N; ++i)
       r.v[i] = profile::sat_add_word(a.v[i], b.v[i]);
+    return r;
+  }
+  /// Transition add: a -inf parameter t gives -inf, otherwise the plain
+  /// saturating sum in [-32768, 32767].  For t <= 0 it is sat_add_word
+  /// except where a + t < -32767 (-32768 here, -32767 there; see
+  /// simd_kernels::vit_kernel for why that band cannot move a score).
+  friend I16xN adds_trans_w(I16xN a, I16xN t) {
+    I16xN r;
+    for (int i = 0; i < N; ++i) {
+      const int s = int(a.v[i]) + int(t.v[i]);
+      const int c = s < -32768 ? -32768 : (s > 32767 ? 32767 : s);
+      r.v[i] = t.v[i] == profile::kWordNegInf ? profile::kWordNegInf
+                                              : std::int16_t(c);
+    }
+    return r;
+  }
+  /// Emission add: a -inf parameter e gives -inf, otherwise the sum
+  /// clamped to [-32767, 32767]; sat_add_word exactly whenever a != -inf.
+  friend I16xN adds_emit_w(I16xN a, I16xN e) {
+    I16xN r;
+    for (int i = 0; i < N; ++i) {
+      const int s = int(a.v[i]) + int(e.v[i]);
+      const int c = s < -32767 ? -32767 : (s > 32767 ? 32767 : s);
+      r.v[i] = e.v[i] == profile::kWordNegInf ? profile::kWordNegInf
+                                              : std::int16_t(c);
+    }
     return r;
   }
   /// Shift lanes up by one, filling lane 0 with fill (-inf by default).

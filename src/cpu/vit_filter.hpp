@@ -51,8 +51,9 @@ class VitFilter {
 
   FilterResult score(const std::uint8_t* seq, std::size_t L);
 
-  /// Number of Lazy-F wrap passes executed by the last score() call
-  /// (diagnostic; 0 means no chain crossed a lane boundary).
+  /// Number of Lazy-F wrap passes of the last score() call that improved
+  /// at least one stripe (diagnostic; 0 means no D chain crossed a lane
+  /// boundary).
   int last_lazyf_passes() const noexcept { return lazyf_passes_; }
 
   /// The tier score() actually runs (requested clamped to supported).

@@ -60,6 +60,13 @@ VitProfile::VitProfile(const hmm::SearchProfile& prof)
     }
   }
 
+  // vit_kernel's plain saturating transition add is exact only for
+  // non-positive transition words (-inf included) and a finite entry.
+  for (const auto* t : {&tmm_, &tim_, &tdm_, &tmi_, &tii_, &tmd_, &tdd_})
+    for (std::int16_t w : *t)
+      FH_REQUIRE(w <= 0, "Viterbi transition words must be <= 0");
+  FH_REQUIRE(entry_ > kWordNegInf, "Viterbi entry word must be finite");
+
   // Length-independent specials.
   e_c_ = wordify(prof.xsc().e_c);
   e_j_ = wordify(prof.xsc().e_j);
