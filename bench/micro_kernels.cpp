@@ -9,8 +9,8 @@
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/stripes.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
 #include "gpu/search.hpp"
@@ -77,7 +77,7 @@ BENCHMARK(BM_MsvStriped)->Arg(100)->Arg(400)->Arg(1002);
 template <int N>
 void BM_MsvWide(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
-  cpu::WideMsvStripes<N> stripes(f.msv);
+  cpu::MsvStripes stripes(f.msv, N);
   for (auto _ : state)
     benchmark::DoNotOptimize(cpu::msv_striped_wide<N>(
         f.msv, stripes, f.seq.codes.data(), f.seq.length()));

@@ -99,6 +99,17 @@ grep -q "in 1 groups" "$WORK/fused.scan"
   > "$WORK/sequential.scan"
 cmp <(grep -v '^#' "$WORK/fused.scan") <(grep -v '^#' "$WORK/sequential.scan")
 
+echo "== SIMD tier parity: --demo identical on every tier =="
+# Hits are bit-identical on every SIMD tier, so each forced tier's demo
+# report (MSV -> Viterbi -> Forward through pipeline::BatchScanner) must
+# match the default tier's byte for byte.  A tier the host cannot run
+# clamps to one it can, so this runs on any host.
+env -u FINEHMM_SIMD "$BIN_DIR/hmmsearch_tool" --demo > "$WORK/demo.default"
+for tier in portable sse2 avx2 avx512; do
+  FINEHMM_SIMD=$tier "$BIN_DIR/hmmsearch_tool" --demo > "$WORK/demo.$tier"
+  cmp "$WORK/demo.default" "$WORK/demo.$tier"
+done
+
 echo "== quickstart / pfam_scan / gpu_speedup_demo =="
 "$BIN_DIR/quickstart" > /dev/null
 "$BIN_DIR/pfam_scan" 3 120 > /dev/null

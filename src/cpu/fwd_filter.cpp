@@ -13,13 +13,12 @@ FwdFilter::FwdFilter(const profile::FwdProfile& prof, SimdTier tier)
     : FwdFilter(prof, tier, nullptr) {}
 
 FwdFilter::FwdFilter(const profile::FwdProfile& prof, SimdTier tier,
-                     std::shared_ptr<const WideFwdStripes> stripes)
+                     std::shared_ptr<const FwdStripes> stripes)
     : prof_(prof),
       ops_(&backend::tier_kernels(resolve_simd_tier(tier))),
       stripes_(std::move(stripes)) {
   if (stripes_ == nullptr)
-    stripes_ =
-        std::make_shared<const WideFwdStripes>(prof, ops_->f32_lanes);
+    stripes_ = std::make_shared<const FwdStripes>(prof, ops_->f32_lanes);
   FH_REQUIRE(stripes_->lanes() == ops_->f32_lanes,
              "shared Forward stripes built for a different lane count");
   mmx_.assign(stripes_->row_floats(), 0.0f);
@@ -89,25 +88,17 @@ float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
   const backend::TierKernels& ops =
       backend::tier_kernels(resolve_simd_tier(active_simd_tier()));
 
+  // Nothing is cached: a later profile can be built at this profile's
+  // address.
+  const FwdStripes stripes(prof, ops.f32_lanes);
   thread_local aligned_vector<float> mmx, imx, dmx;
-  const std::size_t n =
-      static_cast<std::size_t>(
-          profile::fwd_segments_for(prof.length(), ops.f32_lanes)) *
-      ops.f32_lanes;
+  const std::size_t n = stripes.row_floats();
   if (mmx.size() < n) {
     mmx.resize(n);
     imx.resize(n);
     dmx.resize(n);
   }
-
-  // The profile's own arrays already are the 4-lane striping; wider tiers
-  // re-stripe on every call.  Nothing is cached: a later profile can be
-  // built at this profile's address.
-  if (ops.f32_lanes == profile::FwdProfile::kLanes)
-    return ops.fwd(prof, backend::fwd_native_view(prof), seq, L,
-                   mmx.data(), imx.data(), dmx.data());
-  const WideFwdStripes wide(prof, ops.f32_lanes);
-  return ops.fwd(prof, wide.view(), seq, L, mmx.data(), imx.data(),
+  return ops.fwd(prof, stripes.view(), seq, L, mmx.data(), imx.data(),
                  dmx.data());
 }
 

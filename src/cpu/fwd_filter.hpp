@@ -23,9 +23,9 @@
 #include <memory>
 #include <vector>
 
-#include "cpu/fwd_wide.hpp"
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
+#include "cpu/stripes.hpp"
 #include "profile/fwd_profile.hpp"
 #include "util/aligned.hpp"
 
@@ -35,10 +35,10 @@ class FwdFilter {
  public:
   explicit FwdFilter(const profile::FwdProfile& prof,
                      SimdTier tier = active_simd_tier());
-  /// Share a prebuilt re-striping between workers; its lane count must
-  /// match the resolved tier's float width.
+  /// Share prebuilt parameter stripes between workers; their lane count
+  /// must match the resolved tier's float width.
   FwdFilter(const profile::FwdProfile& prof, SimdTier tier,
-            std::shared_ptr<const WideFwdStripes> stripes);
+            std::shared_ptr<const FwdStripes> stripes);
 
   /// Forward score (nats).
   float score(const std::uint8_t* seq, std::size_t L);
@@ -56,8 +56,8 @@ class FwdFilter {
   SimdTier tier() const noexcept { return ops_->tier; }
   /// Float lanes per vector at that tier (4 / 8 / 16).
   int lanes() const noexcept { return ops_->f32_lanes; }
-  /// The re-striped parameters score() reads (shareable with workers).
-  const std::shared_ptr<const WideFwdStripes>& wide_stripes() const {
+  /// The parameter stripes score() reads (shareable with workers).
+  const std::shared_ptr<const FwdStripes>& stripes() const {
     return stripes_;
   }
 
@@ -66,7 +66,7 @@ class FwdFilter {
 
   const profile::FwdProfile& prof_;
   const backend::TierKernels* ops_;
-  std::shared_ptr<const WideFwdStripes> stripes_;  // ops_->f32_lanes wide
+  std::shared_ptr<const FwdStripes> stripes_;  // ops_->f32_lanes wide
   aligned_vector<float> mmx_, imx_, dmx_;  // Q stripes x lanes each
 
   // Checkpointed-decode workspace (see simd_kernels::FwdBwdScratch);
@@ -81,9 +81,9 @@ class FwdFilter {
 
 /// One-shot convenience wrapper honouring the active tier (including env
 /// and programmatic overrides).  DP rows are thread-local scratch, grown
-/// only on change; tiers wider than the profile's native 4-lane layout
-/// re-stripe the parameters on every call.  Code scoring many sequences
-/// against one model uses a FwdFilter, which stripes once.
+/// only on change; the parameters are striped on every call.  Code
+/// scoring many sequences against one model uses a FwdFilter, which
+/// stripes once.
 float fwd_striped(const profile::FwdProfile& prof, const std::uint8_t* seq,
                   std::size_t L);
 

@@ -1,6 +1,7 @@
 #include "cpu/msv_group.hpp"
 
 #include "bio/alphabet.hpp"
+#include "cpu/stripes.hpp"
 #include "util/error.hpp"
 
 namespace finehmm::cpu {
@@ -34,20 +35,19 @@ FusedMsvGroup::FusedMsvGroup(
 
   // Cost 255 everywhere a model cell isn't: those cells are forced to
   // zero every row, which is what keeps neighbouring spans independent.
-  rows_.assign(static_cast<std::size_t>(bio::kKp) * Q_ * lanes_, 255);
+  // A member's position k sits at its single-model slot shifted by the
+  // span's first lane.
+  const Striping s{Q_, lanes_};
+  rows_.assign(static_cast<std::size_t>(bio::kKp) * s.size(), 255);
   bias_.assign(static_cast<std::size_t>(lanes_), 0);
   for (std::size_t m = 0; m < members_.size(); ++m) {
     const profile::MsvProfile& prof = *members_[m];
     const simd_kernels::MsvGroupModel& md = models_[m];
     for (int j = 0; j < md.lanes; ++j) bias_[md.lane_lo + j] = md.bias;
     for (int x = 0; x < bio::kKp; ++x) {
-      const std::uint8_t* lin = prof.linear_row(x);
-      for (int k = 1; k <= prof.length(); ++k) {
-        const int q = (k - 1) % Q_;
-        const int j = md.lane_lo + (k - 1) / Q_;
-        rows_[(static_cast<std::size_t>(x) * Q_ + q) * lanes_ + j] =
-            lin[k - 1];
-      }
+      std::uint8_t* row = rows_.data() + static_cast<std::size_t>(x) * s.size();
+      for (int k = 1; k <= prof.length(); ++k)
+        row[s.slot(k) + md.lane_lo] = prof.cost(x, k);
     }
   }
 

@@ -17,19 +17,19 @@
 //
 // Every row has the same signatures (HMMER4-style) and every entry takes
 // caller-owned DP scratch and performs no heap allocation:
-//   * msv/ssv take a re-striped emission table for the tier's byte lane
-//     count (cpu::WideMsvStripes<N> layout: residue x at rows + x*Q*N;
-//     for 16 lanes the MsvProfile's own arrays are already that layout
-//     and are passed zero-copy).
+//   * msv/ssv take the emission table striped for the tier's byte lane
+//     count (cpu::MsvStripes: residue x at rows + x*Q*N).
 //   * vit takes a VitStripesView built for the tier's word lane count
-//     (cpu::WideVitStripes<N>; 8 lanes use vit_native_view below).
+//     (cpu::VitStripes).
 //   * fwd / fwd_bwd take a FwdStripesView built for the tier's float lane
-//     count (cpu::WideFwdStripes).
+//     count (cpu::FwdStripes).
 //   * trace takes a TraceStripesView built for the tier's float lane
 //     count (cpu::TraceStripes) plus the length model's special scores.
 //   * fwd_lanes takes the SearchProfile itself and f32_lanes sequences of
 //     one length, one per lane (no striping; cpu::generic_forward_batch
 //     is its caller).
+// Profiles hold per-position parameters only; every stripe layout comes
+// from cpu::Striping (cpu/stripes.hpp), at the lane count of the row.
 #pragma once
 
 #include <cstddef>
@@ -52,43 +52,6 @@ bool have_avx2();
 /// True when the AVX-512 backend is compiled in and this CPU can run it
 /// (requires the F and BW subsets).
 bool have_avx512();
-
-/// The VitProfile's native 8-word striping as a VitStripesView (zero-copy;
-/// this is what the SSE2 tier consumes).
-inline simd_kernels::VitStripesView vit_native_view(
-    const profile::VitProfile& prof) {
-  simd_kernels::VitStripesView st;
-  st.msc = prof.msc_striped(0);
-  st.tmm = prof.tmm_striped();
-  st.tim = prof.tim_striped();
-  st.tdm = prof.tdm_striped();
-  st.tmi = prof.tmi_striped();
-  st.tii = prof.tii_striped();
-  st.tmd = prof.tmd_striped();
-  st.tdd = prof.tdd_striped();
-  st.Q = prof.striped_segments();
-  return st;
-}
-
-/// The FwdProfile's native 4-float striping as a FwdStripesView
-/// (zero-copy; what the portable and SSE2 tiers consume for plain
-/// scoring).  The out-indexed stripes are left null — Backward needs a
-/// cpu::WideFwdStripes, which builds them for any lane count.
-inline simd_kernels::FwdStripesView fwd_native_view(
-    const profile::FwdProfile& prof) {
-  simd_kernels::FwdStripesView st;
-  st.odds = prof.odds_striped(0);
-  st.tmm = prof.tmm_striped();
-  st.tim = prof.tim_striped();
-  st.tdm = prof.tdm_striped();
-  st.tmi = prof.tmi_striped();
-  st.tii = prof.tii_striped();
-  st.tmd = prof.tmd_in_striped();
-  st.tdd = prof.tdd_in_striped();
-  st.entry = prof.entry();
-  st.Q = prof.striped_segments();
-  return st;
-}
 
 // ---- Per-tier dispatch table ----
 

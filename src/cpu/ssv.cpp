@@ -74,14 +74,15 @@ FilterResult ssv_striped(const profile::MsvProfile& prof,
                          const std::uint8_t* seq, std::size_t L) {
   const backend::TierKernels& ops =
       backend::tier_kernels(resolve_simd_tier(active_simd_tier()));
-  // 16 lanes read the profile's own striping; wider tiers re-stripe on
-  // every call.  Nothing is cached: a later profile can be built at this
-  // profile's address.
-  const SharedMsvRows rows = make_shared_msv_rows(prof, ops.u8_lanes);
+  // Nothing is cached: a later profile can be built at this profile's
+  // address.
+  const MsvStripes stripes(prof, ops.u8_lanes);
   thread_local aligned_vector<std::uint8_t> row;
-  const std::size_t n = static_cast<std::size_t>(rows.Q) * rows.lanes;
+  const std::size_t n =
+      static_cast<std::size_t>(stripes.segments()) * stripes.lanes();
   if (row.size() < n) row.resize(n);
-  return ops.ssv(prof, rows.rows, rows.Q, seq, L, row.data());
+  return ops.ssv(prof, stripes.row(0), stripes.segments(), seq, L,
+                 row.data());
 }
 
 }  // namespace finehmm::cpu

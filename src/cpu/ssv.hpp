@@ -23,8 +23,8 @@ FilterResult ssv_scalar(const profile::MsvProfile& prof,
                         const std::uint8_t* seq, std::size_t L);
 
 /// Striped SSV filter at the active SIMD tier (cpu::active_simd_tier).
-/// Tiers wider than 16 byte lanes re-stripe the emission table on every
-/// call; scans use MsvFilter::ssv, which stripes once.
+/// Stripes the emission table on every call; scans use MsvFilter::ssv,
+/// which stripes once.
 FilterResult ssv_striped(const profile::MsvProfile& prof,
                          const std::uint8_t* seq, std::size_t L);
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "cpu/simd_backend/backend.hpp"
+#include "cpu/stripes.hpp"
 #include "util/error.hpp"
 #include "util/logspace.hpp"
 
@@ -52,21 +53,16 @@ struct SplitPointers {
 };
 
 /// The trace kernel's backpointers: one nibble per cell in striped order
-/// (simd_kernels::TraceScratch), so cell k of row i sits at slot
-/// ((k-1)%Q)*N + (k-1)/Q of a row of Q*N/2 bytes — the match
-/// predecessor in bits 0-1, the insert choice in bit 2, the delete choice
-/// in bit 3.  A sixth of the memory of SplitPointers.
+/// (simd_kernels::TraceScratch), so cell k of row i sits at nibble
+/// s.slot(k) of a row of Q*N/2 bytes — the match predecessor in bits 0-1,
+/// the insert choice in bit 2, the delete choice in bit 3.  A sixth of
+/// the memory of SplitPointers.
 struct StripedPointers {
   const std::uint8_t* bp;
-  int Q;
-  int N;
+  Striping s;
   unsigned cell(std::size_t i, int k) const {
-    const std::size_t slot =
-        static_cast<std::size_t>((k - 1) % Q) * static_cast<std::size_t>(N) +
-        static_cast<std::size_t>((k - 1) / Q);
-    const std::size_t row_bytes =
-        static_cast<std::size_t>(Q) * static_cast<std::size_t>(N) / 2;
-    const std::uint8_t b = bp[i * row_bytes + slot / 2];
+    const std::size_t slot = s.slot(k);
+    const std::uint8_t b = bp[i * (s.size() / 2) + slot / 2];
     return (slot & 1) ? b >> 4 : b & 0xFu;
   }
   std::uint8_t mp(std::size_t i, int k) const { return cell(i, k) & 3; }
@@ -269,21 +265,20 @@ TraceStripes::TraceStripes(const hmm::SearchProfile& prof, SimdTier tier)
     : prof_(prof), ops_(&backend::tier_kernels(resolve_simd_tier(tier))) {
   using namespace simd_kernels;
   const int M = prof.length();
-  const int N = ops_->f32_lanes;
-  Q_ = (M + N - 1) / N;
-  const std::size_t n = static_cast<std::size_t>(Q_) * N;
+  const Striping s = Striping::of(M, ops_->f32_lanes);
+  Q_ = s.Q;
+  const std::size_t n = s.size();
   params_.assign(static_cast<std::size_t>(bio::kKp + kTraceTransitions) * n,
                  kNegInf);
   float* tsc = params_.data() + static_cast<std::size_t>(bio::kKp) * n;
   for (int k = 1; k <= M; ++k) {
-    const int q = (k - 1) % Q_;
-    const int j = (k - 1) / Q_;
-    const std::size_t slot = static_cast<std::size_t>(q) * N + j;
     for (int x = 0; x < bio::kKp; ++x)
-      params_[static_cast<std::size_t>(x) * n + slot] = prof.msc(k, x);
+      params_[static_cast<std::size_t>(x) * n + s.slot(k)] = prof.msc(k, x);
+    // Each stripe's kTraceTransitions rows are contiguous.
     auto t = [&](int r) -> float& {
-      return tsc[(static_cast<std::size_t>(q) * kTraceTransitions + r) * N +
-                 j];
+      const std::size_t row =
+          static_cast<std::size_t>(s.stripe(k)) * kTraceTransitions + r;
+      return tsc[row * s.N + s.lane(k)];
     };
     t(kTraceBM) = prof.tsc(k - 1, kPTBM);
     t(kTraceMM) = prof.tsc(k - 1, kPTMM);
@@ -328,8 +323,8 @@ ViterbiTrace viterbi_trace(const TraceStripes& stripes,
                            const std::uint8_t* seq, std::size_t L,
                            TraceWorkspace& ws) {
   FH_REQUIRE(L >= 1, "cannot trace an empty sequence");
-  const int N = stripes.ops_->f32_lanes;
-  const std::size_t n = static_cast<std::size_t>(stripes.Q_) * N;
+  const Striping st{stripes.Q_, stripes.ops_->f32_lanes};
+  const std::size_t n = st.size();
   ws.reserve(n, L);
 
   simd_kernels::TraceScratch scratch;
@@ -344,7 +339,7 @@ ViterbiTrace viterbi_trace(const TraceStripes& stripes,
 
   const float score = stripes.ops_->trace(
       stripes.view(), stripes.prof_.xsc_for(static_cast<int>(L)), seq, L, scratch);
-  return backtrace(score, L, StripedPointers{scratch.bp, stripes.Q_, N},
+  return backtrace(score, L, StripedPointers{scratch.bp, st},
                    scratch.be, scratch.bj, scratch.bc, scratch.bb);
 }
 

@@ -1,7 +1,6 @@
 #include "pipeline/batch_scanner.hpp"
 
 #include <memory>
-#include <type_traits>
 
 #include "cpu/simd_backend/backend.hpp"
 #include "util/check.hpp"
@@ -13,33 +12,25 @@ BatchScanner::BatchScanner(const profile::MsvProfile& msv,
                            const profile::VitProfile& vit,
                            const profile::FwdProfile* fwd,
                            std::size_t workers, cpu::SimdTier tier)
-    : msv_(msv),
-      tier_(cpu::resolve_simd_tier(tier)),
-      ops_(&cpu::backend::tier_kernels(tier_)) {
+    : tier_(cpu::resolve_simd_tier(tier)) {
   FH_REQUIRE(workers >= 1, "need at least one worker");
 
-  // Immutable re-stripings for the resolved tier, built once and shared
-  // by every worker (zero-copy aliases of the profiles' own arrays for
-  // the 128-bit tiers).
-  ssv_rows_ = cpu::make_shared_msv_rows(msv, ops_->u8_lanes);
-  cpu::SharedVitStripes vit_wide =
-      cpu::make_shared_vit_stripes(vit, ops_->i16_lanes);
-  std::shared_ptr<const cpu::WideFwdStripes> fwd_wide;
+  // Immutable stripes for the resolved tier, built once and shared by
+  // every worker.
+  const cpu::backend::TierKernels& ops = cpu::backend::tier_kernels(tier_);
+  auto msv_stripes = std::make_shared<const cpu::MsvStripes>(msv, ops.u8_lanes);
+  auto vit_stripes =
+      std::make_shared<const cpu::VitStripes>(vit, ops.i16_lanes);
+  std::shared_ptr<const cpu::FwdStripes> fwd_stripes;
   if (fwd != nullptr)
-    fwd_wide = std::make_shared<const cpu::WideFwdStripes>(
-        *fwd, ops_->f32_lanes);
-
-  const std::size_t ssv_row_bytes =
-      static_cast<std::size_t>(ssv_rows_.Q) * ssv_rows_.lanes;
+    fwd_stripes = std::make_shared<const cpu::FwdStripes>(*fwd, ops.f32_lanes);
 
   workers_.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    Worker worker{cpu::MsvFilter(msv, tier_, ssv_rows_),
-                  cpu::VitFilter(vit, tier_, vit_wide),
-                  std::nullopt,
-                  std::vector<std::uint8_t>(ssv_row_bytes, 0),
+    Worker worker{cpu::MsvFilter(msv, tier_, msv_stripes),
+                  cpu::VitFilter(vit, tier_, vit_stripes), std::nullopt,
                   WorkerLoad{}};
-    if (fwd != nullptr) worker.fwd.emplace(*fwd, tier_, fwd_wide);
+    if (fwd != nullptr) worker.fwd.emplace(*fwd, tier_, fwd_stripes);
     workers_.push_back(std::move(worker));
   }
 }
@@ -52,25 +43,13 @@ constexpr bool empty_no_hit(std::size_t L) { return L == 0; }
 
 }  // namespace
 
-template <class Seq>
-cpu::FilterResult BatchScanner::ssv_impl(std::size_t w, Seq seq,
-                                         std::size_t L) {
-  Worker& worker = workers_[w];
-  if constexpr (std::is_same_v<Seq, bio::PackedResidues>)
-    return ops_->ssv_packed(msv_, ssv_rows_.rows, ssv_rows_.Q, seq, L,
-                            worker.ssv_row.data());
-  else
-    return ops_->ssv(msv_, ssv_rows_.rows, ssv_rows_.Q, seq, L,
-                     worker.ssv_row.data());
-}
-
 cpu::FilterResult BatchScanner::ssv(std::size_t w, const std::uint8_t* seq,
                                     std::size_t L) {
   FINEHMM_CHECK(w < workers_.size(), "worker id out of range");
   if (empty_no_hit(L)) return {};
   ++workers_[w].load.ssv_calls;
   workers_[w].load.residues += L;
-  return ssv_impl(w, seq, L);
+  return workers_[w].msv.ssv(seq, L);
 }
 
 cpu::FilterResult BatchScanner::ssv(std::size_t w, bio::PackedResidues seq,
@@ -79,7 +58,7 @@ cpu::FilterResult BatchScanner::ssv(std::size_t w, bio::PackedResidues seq,
   if (empty_no_hit(L)) return {};
   ++workers_[w].load.ssv_calls;
   workers_[w].load.residues += L;
-  return ssv_impl(w, seq, L);
+  return workers_[w].msv.ssv(seq, L);
 }
 
 cpu::FilterResult BatchScanner::msv(std::size_t w, const std::uint8_t* seq,

@@ -9,11 +9,12 @@
 // monotonically), so scoring a sequence is allocation-free no matter
 // which engine (serial, ThreadPool, or MultiSearch) drives it.
 //
-// The wide parameter re-stripings for the resolved tier are built once
-// and shared across all workers (SharedMsvRows / SharedVitStripes /
-// WideFwdStripes): model parameters are immutable during a scan, only DP
-// state is per-worker.  This mirrors the paper's GPU decomposition — one
-// read-only model in constant/shared memory, one DP slice per warp.
+// The parameter stripes for the resolved tier's lane counts are built
+// once and shared across all workers (cpu::MsvStripes / VitStripes /
+// FwdStripes, on every tier): model parameters are immutable during a
+// scan, only DP state is per-worker.  This mirrors the paper's GPU
+// decomposition — one read-only model in constant/shared memory, one DP
+// slice per warp.
 #pragma once
 
 #include <cstddef>
@@ -92,21 +93,14 @@ class BatchScanner {
   const WorkerLoad& load(std::size_t w) const { return workers_[w].load; }
 
  private:
-  template <class Seq>
-  cpu::FilterResult ssv_impl(std::size_t w, Seq seq, std::size_t L);
-
   struct Worker {
     cpu::MsvFilter msv;
     cpu::VitFilter vit;
     std::optional<cpu::FwdFilter> fwd;
-    std::vector<std::uint8_t> ssv_row;
     WorkerLoad load;
   };
 
-  const profile::MsvProfile& msv_;
   cpu::SimdTier tier_;
-  const cpu::backend::TierKernels* ops_;
-  cpu::SharedMsvRows ssv_rows_;  // shared emission table the SSV path reads
   std::vector<Worker> workers_;
 };
 

@@ -29,16 +29,9 @@ std::vector<ModelResult> MultiSearch::run_cpu(
 std::vector<ModelResult> MultiSearch::run_cpu_parallel(
     const bio::SequenceDatabase& db, std::size_t threads) const {
   ThreadPool pool(threads);
-  std::vector<ModelResult> out;
-  out.reserve(searches_.size());
-  for (const auto& search : searches_) {
-    ModelResult r;
-    r.model_name = search.profile().name();
-    r.model_length = search.profile().length();
-    r.result = search.run_cpu_parallel(db, pool);
-    out.push_back(std::move(r));
-  }
-  return out;
+  return collect(HmmSearch::scan(pointers(), ScanSource(db), pool,
+                                 /*plan=*/nullptr, /*schedule=*/nullptr,
+                                 /*rec=*/nullptr, "cpu_parallel"));
 }
 
 std::vector<int> MultiSearch::model_lengths() const {
@@ -53,10 +46,20 @@ std::vector<ModelResult> MultiSearch::run_cpu_fused(
     const bio::SequenceDatabase& db, std::size_t threads,
     const hmm::FusePlan* plan, obs::ScanTelemetry* telemetry) const {
   ThreadPool pool(threads);
+  auto scan = HmmSearch::run_cpu_fused(pointers(), ScanSource(db), pool, plan);
+  if (telemetry != nullptr) *telemetry = std::move(scan.telemetry);
+  return collect(std::move(scan));
+}
+
+std::vector<const HmmSearch*> MultiSearch::pointers() const {
   std::vector<const HmmSearch*> ptrs;
   ptrs.reserve(searches_.size());
   for (const auto& search : searches_) ptrs.push_back(&search);
-  auto scan = HmmSearch::run_cpu_fused(ptrs, ScanSource(db), pool, plan);
+  return ptrs;
+}
+
+std::vector<ModelResult> MultiSearch::collect(
+    HmmSearch::CoalescedScan scan) const {
   std::vector<ModelResult> out;
   out.reserve(searches_.size());
   for (std::size_t i = 0; i < searches_.size(); ++i) {
@@ -66,7 +69,6 @@ std::vector<ModelResult> MultiSearch::run_cpu_fused(
     r.result = std::move(scan.per_model[i]);
     out.push_back(std::move(r));
   }
-  if (telemetry != nullptr) *telemetry = std::move(scan.telemetry);
   return out;
 }
 

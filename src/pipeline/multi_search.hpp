@@ -32,10 +32,11 @@ class MultiSearch {
   /// Scan with the CPU engines.
   std::vector<ModelResult> run_cpu(const bio::SequenceDatabase& db) const;
 
-  /// Multithreaded CPU scan.  One ThreadPool (and its worker threads) is
-  /// shared across all models; each model's scan state is a BatchScanner
-  /// sized to the pool, so the sweep performs no per-sequence allocation.
-  /// `threads` = 0 picks hardware concurrency.  Hits match run_cpu.
+  /// Multithreaded CPU scan: one HmmSearch::scan pass over the database
+  /// with every model a lone unit (no fuse plan), on a pool of `threads`
+  /// workers (0 = hardware concurrency).  Hits match run_cpu.  One sweep
+  /// serves every model, so each model's StageStats::seconds is the
+  /// batch's merged busy time, not a share of it (pipeline.hpp).
   std::vector<ModelResult> run_cpu_parallel(const bio::SequenceDatabase& db,
                                             std::size_t threads = 0) const;
 
@@ -59,6 +60,10 @@ class MultiSearch {
                                    const bio::PackedDatabase& packed) const;
 
  private:
+  std::vector<const HmmSearch*> pointers() const;
+  /// One ModelResult per model from a scan over pointers().
+  std::vector<ModelResult> collect(HmmSearch::CoalescedScan scan) const;
+
   std::vector<HmmSearch> searches_;
 };
 

@@ -24,8 +24,7 @@ namespace finehmm::pipeline {
 
 HmmSearch::HmmSearch(const hmm::Plan7Hmm& model, Thresholds thresholds,
                      stats::CalibrateOptions calib)
-    : model_(model),
-      prof_(model, hmm::AlignMode::kLocalMultihit, 400),
+    : prof_(model, hmm::AlignMode::kLocalMultihit, 400),
       msv_(prof_),
       vit_(prof_),
       fwd_(prof_),
@@ -36,8 +35,7 @@ HmmSearch::HmmSearch(const hmm::Plan7Hmm& model, Thresholds thresholds,
 HmmSearch::HmmSearch(const hmm::Plan7Hmm& model,
                      const stats::ModelStats& model_stats,
                      Thresholds thresholds)
-    : model_(model),
-      prof_(model, hmm::AlignMode::kLocalMultihit, 400),
+    : prof_(model, hmm::AlignMode::kLocalMultihit, 400),
       msv_(prof_),
       vit_(prof_),
       fwd_(prof_),

@@ -295,7 +295,6 @@ class HmmSearch {
                         const char* engine) const;
 
   obs::Recorder* recorder_ = nullptr;
-  hmm::Plan7Hmm model_;
   hmm::SearchProfile prof_;
   profile::MsvProfile msv_;
   profile::VitProfile vit_;

@@ -1,14 +1,14 @@
-// Striped probability-space profile for the float Forward filter.
+// Probability-space profile for the float Forward filter.
 //
 // The Forward stage sums over all alignments, so it runs in probability
 // (odds-ratio) space rather than log space: emissions are odds
 // exp(msc) = mat/bg, transitions are plain probabilities, and underflow
 // over long targets is handled by the filter's per-row rescaling (the
-// profile just supplies the numbers).  Layout mirrors VitProfile's
-// striping with 4 float lanes; "in"-indexed D arrays target position k.
-// The 4-lane arrays are the narrow-tier base layout; wider tiers
-// re-stripe them per lane count through the per-position accessors (see
-// cpu/fwd_wide.hpp).
+// profile just supplies the numbers).  Layout: per-position arrays, like
+// VitProfile's; "in"-indexed D arrays target position k.  Probabilities
+// a position lacks are zero: the I transitions at k = M and the D
+// transitions into k = 1.  The filter reads them striped for its tier's
+// float lane count (cpu::FwdStripes in cpu/stripes.hpp).
 #pragma once
 
 #include <cmath>
@@ -20,42 +20,29 @@ namespace finehmm::profile {
 
 class FwdProfile {
  public:
-  static constexpr int kLanes = 4;  // floats per 128-bit SIMD vector
-
   FwdProfile() = default;
   explicit FwdProfile(const hmm::SearchProfile& prof);
 
   int length() const noexcept { return M_; }
-  int striped_segments() const noexcept { return Q_; }
-
-  /// Striped emission odds of alphabet code x; rows are Q*kLanes long.
-  const float* odds_striped(int x) const {
-    return odds_.data() + static_cast<std::size_t>(x) * Q_ * kLanes;
-  }
-  const float* tmm_striped() const { return tmm_.data(); }
-  const float* tim_striped() const { return tim_.data(); }
-  const float* tdm_striped() const { return tdm_.data(); }
-  const float* tmi_striped() const { return tmi_.data(); }
-  const float* tii_striped() const { return tii_.data(); }
-  const float* tmd_in_striped() const { return tmd_in_.data(); }
-  const float* tdd_in_striped() const { return tdd_in_.data(); }
 
   /// Uniform local entry probability 2/(M(M+1)).
   float entry() const noexcept { return entry_; }
 
-  // Per-position (1-based k, 1 <= k <= length()) parameter reads that
-  // de-stripe the 4-lane base layout; cpu::WideFwdStripes uses these to
-  // re-stripe the profile for any tier lane count.
+  // Per-position parameters, 1-based k (1 <= k <= length()).
+  /// Emission odds of alphabet code x at position k.
   float odds_at(int x, int k) const {
-    return odds_[static_cast<std::size_t>(x) * Q_ * kLanes + slot(k)];
+    return odds_[static_cast<std::size_t>(x) * M_ + (k - 1)];
   }
-  float tmm_at(int k) const { return tmm_[slot(k)]; }
-  float tim_at(int k) const { return tim_[slot(k)]; }
-  float tdm_at(int k) const { return tdm_[slot(k)]; }
-  float tmi_at(int k) const { return tmi_[slot(k)]; }
-  float tii_at(int k) const { return tii_[slot(k)]; }
-  float tmd_in_at(int k) const { return tmd_in_[slot(k)]; }
-  float tdd_in_at(int k) const { return tdd_in_[slot(k)]; }
+  /// Transitions into position k from node k-1.
+  float tmm_at(int k) const { return tmm_[k - 1]; }
+  float tim_at(int k) const { return tim_[k - 1]; }
+  float tdm_at(int k) const { return tdm_[k - 1]; }
+  /// M_k -> I_k and I_k -> I_k.
+  float tmi_at(int k) const { return tmi_[k - 1]; }
+  float tii_at(int k) const { return tii_[k - 1]; }
+  /// Transitions reaching D_k from node k-1.
+  float tmd_in_at(int k) const { return tmd_in_[k - 1]; }
+  float tdd_in_at(int k) const { return tdd_in_[k - 1]; }
 
   /// Length-model probabilities for one target length.
   struct LengthModel {
@@ -67,28 +54,11 @@ class FwdProfile {
   LengthModel length_model_for(int L) const;
 
  private:
-  std::size_t slot(int k) const {  // 1-based position -> striped index
-    const int q = (k - 1) % Q_;
-    const int j = (k - 1) / Q_;
-    return static_cast<std::size_t>(q) * kLanes + j;
-  }
-
   int M_ = 0;
-  int Q_ = 0;
   float entry_ = 0.0f;
-  aligned_vector<float> odds_;  // Kp x (Q*4)
-  aligned_vector<float> tmm_, tim_, tdm_, tmi_, tii_;  // striped, Q*4
-  aligned_vector<float> tmd_in_, tdd_in_;              // striped, Q*4
+  aligned_vector<float> odds_;                         // Kp x M
+  aligned_vector<float> tmm_, tim_, tdm_, tmi_, tii_;  // M each
+  aligned_vector<float> tmd_in_, tdd_in_;              // M each
 };
-
-/// Number of `lanes`-float stripes for model length M.
-inline int fwd_segments_for(int M, int lanes) {
-  return (M + lanes - 1) / lanes;
-}
-
-/// Number of 4-lane stripes for model length M (the base layout).
-inline int fwd_segments(int M) {
-  return fwd_segments_for(M, FwdProfile::kLanes);
-}
 
 }  // namespace finehmm::profile

@@ -16,8 +16,7 @@ std::int16_t VitProfile::wordify(float sc) const {
 
 VitProfile::VitProfile(const hmm::SearchProfile& prof)
     : M_(prof.length()),
-      Mpad_((prof.length() + 31) / 32 * 32),
-      Q_(vit_segments(prof.length())) {
+      Mpad_((prof.length() + 31) / 32 * 32) {
   FH_REQUIRE(hmm::is_local(prof.mode()),
              "vectorized filters are local-mode only (as in HMMER)");
   scale_ = 500.0f / static_cast<float>(M_LN2);  // 1/500-bit units per nat
@@ -71,7 +70,6 @@ VitProfile::VitProfile(const hmm::SearchProfile& prof)
   e_c_ = wordify(prof.xsc().e_c);
   e_j_ = wordify(prof.xsc().e_j);
 
-  stripe_all();
   reconfig_length(prof.target_length());
 }
 
@@ -91,35 +89,6 @@ void VitProfile::reconfig_length(int L) {
   LengthModel lm = length_model_for(L);
   n_loop_ = c_loop_ = j_loop_ = lm.loop;
   n_move_ = c_move_ = j_move_ = lm.move;
-}
-
-void VitProfile::stripe_all() {
-  auto stripe = [this](const aligned_vector<std::int16_t>& lin,
-                       aligned_vector<std::int16_t>& out) {
-    out.assign(static_cast<std::size_t>(Q_) * kLanes, kWordNegInf);
-    for (int k = 1; k <= M_; ++k) {
-      int q = (k - 1) % Q_;
-      int j = (k - 1) / Q_;
-      out[static_cast<std::size_t>(q) * kLanes + j] = lin[k - 1];
-    }
-  };
-  stripe(tmm_, tmm_str_);
-  stripe(tim_, tim_str_);
-  stripe(tdm_, tdm_str_);
-  stripe(tmi_, tmi_str_);
-  stripe(tii_, tii_str_);
-  stripe(tmd_, tmd_str_);
-  stripe(tdd_, tdd_str_);
-
-  msc_str_.assign(static_cast<std::size_t>(bio::kKp) * Q_ * kLanes,
-                  kWordNegInf);
-  for (int x = 0; x < bio::kKp; ++x)
-    for (int k = 1; k <= M_; ++k) {
-      int q = (k - 1) % Q_;
-      int j = (k - 1) / Q_;
-      msc_str_[static_cast<std::size_t>(x) * Q_ * kLanes + q * kLanes + j] =
-          msc_[static_cast<std::size_t>(x) * Mpad_ + (k - 1)];
-    }
 }
 
 }  // namespace finehmm::profile

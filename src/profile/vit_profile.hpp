@@ -7,12 +7,12 @@
 // word precision is fine enough to charge the N/C/J loop costs exactly, so
 // no constant-correction fudge is needed at score recovery.
 //
-// Layouts:
-//   * linear  — per-position arrays indexed by model position (GPU layout)
-//   * striped — Farrar layout for the 8-lane CPU SIMD filter; "incoming"
-//     transition stripes (tmm/tim/tdm into position k) and "outgoing"
-//     stripes (tmd/tdd leaving position k) are kept separately because the
-//     D recurrence propagates within the row.
+// Layout: per-position arrays indexed by model position, padded to whole
+// warp chunks (the GPU layout).  "Incoming" transitions (tmm/tim/tdm into
+// position k) and "outgoing" ones (tmd/tdd leaving position k) are kept
+// separately because the D recurrence propagates within the row.  The
+// CPU SIMD filter reads them striped for its tier's lane count
+// (cpu::VitStripes in cpu/stripes.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,6 @@ inline std::int16_t sat_add_word(std::int16_t a, std::int16_t b) {
 class VitProfile {
  public:
   static constexpr std::int16_t kBase = 12000;
-  static constexpr int kLanes = 8;  // int16 per 128-bit SIMD vector
 
   VitProfile() = default;
   explicit VitProfile(const hmm::SearchProfile& prof);
@@ -48,7 +47,6 @@ class VitProfile {
   /// Model length rounded up to whole warp chunks (32); GPU linear arrays
   /// are padded to this with -inf so warp loads never need masking.
   int padded_length() const noexcept { return Mpad_; }
-  int striped_segments() const noexcept { return Q_; }
   int target_length() const noexcept { return L_; }
   float scale() const noexcept { return scale_; }
 
@@ -105,18 +103,6 @@ class VitProfile {
   std::int16_t j_loop() const noexcept { return j_loop_; }
   std::int16_t j_move() const noexcept { return j_move_; }
 
-  /// --- striped accessors (CPU SIMD layout); rows are Q*kLanes long ---
-  const std::int16_t* msc_striped(int x) const {
-    return msc_str_.data() + static_cast<std::size_t>(x) * Q_ * kLanes;
-  }
-  const std::int16_t* tmm_striped() const { return tmm_str_.data(); }
-  const std::int16_t* tim_striped() const { return tim_str_.data(); }
-  const std::int16_t* tdm_striped() const { return tdm_str_.data(); }
-  const std::int16_t* tmi_striped() const { return tmi_str_.data(); }
-  const std::int16_t* tii_striped() const { return tii_str_.data(); }
-  const std::int16_t* tmd_striped() const { return tmd_str_.data(); }
-  const std::int16_t* tdd_striped() const { return tdd_str_.data(); }
-
   /// Total parameter bytes (shared-memory staging size on a GPU): the
   /// padded emission table plus the seven padded transition arrays the
   /// kernel actually reads.
@@ -139,11 +125,9 @@ class VitProfile {
 
  private:
   std::int16_t wordify(float sc) const;
-  void stripe_all();
 
   int M_ = 0;
   int Mpad_ = 0;
-  int Q_ = 0;
   int L_ = 0;
   float scale_ = 0.0f;
   std::int16_t entry_ = kWordNegInf;
@@ -155,16 +139,6 @@ class VitProfile {
   aligned_vector<std::int16_t> tmi_, tii_;        // at-node,  size Mpad
   aligned_vector<std::int16_t> tmd_, tdd_;        // outgoing, size Mpad
   aligned_vector<std::int16_t> tmd_in_, tdd_in_;  // target-indexed, Mpad
-
-  aligned_vector<std::int16_t> msc_str_;  // Kp x (Q*8)
-  aligned_vector<std::int16_t> tmm_str_, tim_str_, tdm_str_;
-  aligned_vector<std::int16_t> tmi_str_, tii_str_;
-  aligned_vector<std::int16_t> tmd_str_, tdd_str_;
 };
-
-/// Number of 8-lane stripes for model length M.
-inline int vit_segments(int M) {
-  return (M + VitProfile::kLanes - 1) / VitProfile::kLanes;
-}
 
 }  // namespace finehmm::profile

@@ -175,7 +175,7 @@ TEST_P(FwdBwdTiers, SharedStripesScoreIdentically) {
   for (SimdTier tier : cpu::supported_simd_tiers()) {
     const auto& ops = cpu::backend::tier_kernels(cpu::resolve_simd_tier(tier));
     auto shared =
-        std::make_shared<const cpu::WideFwdStripes>(fx.fwd, ops.f32_lanes);
+        std::make_shared<const cpu::FwdStripes>(fx.fwd, ops.f32_lanes);
     cpu::FwdFilter own(fx.fwd, tier);
     cpu::FwdFilter borrowed(fx.fwd, tier, shared);
     std::vector<float> mo, mb;

@@ -31,7 +31,7 @@
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
+#include "cpu/stripes.hpp"
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/kernels.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
@@ -196,24 +196,23 @@ void check_all_paths(const profile::MsvProfile& target,
 
   for (SimdTier tier : cpu::supported_simd_tiers()) {
     const auto& ops = cpu::backend::tier_kernels(tier);
-    const cpu::SharedMsvRows rows =
-        cpu::make_shared_msv_rows(target, ops.u8_lanes);
-    std::vector<std::uint8_t> row(static_cast<std::size_t>(rows.Q) *
-                                  rows.lanes);
+    const cpu::MsvStripes rows(target, ops.u8_lanes);
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(rows.segments()) *
+                                  rows.lanes());
     expect_bits(msv_want,
-                ops.msv(target, rows.rows, rows.Q, codes.data(), L,
+                ops.msv(target, rows.row(0), rows.segments(), codes.data(), L,
                         row.data()),
                 where(tier, "msv", L));
     expect_bits(msv_want,
-                ops.msv_packed(target, rows.rows, rows.Q, packed, L,
+                ops.msv_packed(target, rows.row(0), rows.segments(), packed, L,
                                row.data()),
                 where(tier, "msv packed", L));
     expect_bits(ssv_want,
-                ops.ssv(target, rows.rows, rows.Q, codes.data(), L,
+                ops.ssv(target, rows.row(0), rows.segments(), codes.data(), L,
                         row.data()),
                 where(tier, "ssv", L));
     expect_bits(ssv_want,
-                ops.ssv_packed(target, rows.rows, rows.Q, packed, L,
+                ops.ssv_packed(target, rows.row(0), rows.segments(), packed, L,
                                row.data()),
                 where(tier, "ssv packed", L));
 
@@ -470,10 +469,11 @@ struct CraftedGroup {
       md.base = bm.base;
       md.sat = bm.sat();
       for (int j = 0; j < md.lanes; ++j) bias[md.lane_lo + j] = bm.bias;
+      const cpu::Striping st{Q, N};
       for (int x = 0; x < bio::kKp; ++x)
         for (int k = 1; k <= bm.M; ++k)
-          rows[(static_cast<std::size_t>(x) * Q + (k - 1) % Q) * N +
-               md.lane_lo + (k - 1) / Q] =
+          rows[static_cast<std::size_t>(x) * st.size() + st.slot(k) +
+               md.lane_lo] =
               bm.cost[static_cast<std::size_t>(x) * bm.M + k - 1];
       lane += md.lanes;
       models.push_back(md);

@@ -4,7 +4,7 @@
 
 #include "bio/synthetic.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
+#include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
 
@@ -17,7 +17,7 @@ void check_width(int M, std::uint64_t seed) {
   auto model = hmm::paper_model(M);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
   profile::MsvProfile msv(prof);
-  cpu::WideMsvStripes<N> stripes(msv);
+  cpu::MsvStripes stripes(msv, N);
   Pcg32 rng(seed);
   for (int rep = 0; rep < 12; ++rep) {
     auto seq = rep % 3 == 0 ? hmm::sample_homolog(model, rng)
@@ -47,9 +47,9 @@ TEST(WideMsv, AllWidthsAgreeWithEachOther) {
   auto model = hmm::paper_model(100);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 400);
   profile::MsvProfile msv(prof);
-  cpu::WideMsvStripes<16> s16(msv);
-  cpu::WideMsvStripes<32> s32(msv);
-  cpu::WideMsvStripes<64> s64(msv);
+  cpu::MsvStripes s16(msv, 16);
+  cpu::MsvStripes s32(msv, 32);
+  cpu::MsvStripes s64(msv, 64);
   Pcg32 rng(7);
   auto seq = bio::random_sequence(333, rng);
   auto a = cpu::msv_striped_wide<16>(msv, s16, seq.codes.data(), 333);

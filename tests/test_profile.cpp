@@ -58,22 +58,6 @@ TEST_P(ProfileQuantization, WordScoresInvertWithinHalfUnit) {
   }
 }
 
-TEST_P(ProfileQuantization, StripedLayoutPermutesLinear) {
-  ProfFixture fx(GetParam());
-  const int M = fx.prof.length();
-  const int Q = fx.msv.striped_segments();
-  for (int x = 0; x < bio::kKp; ++x) {
-    const std::uint8_t* striped = fx.msv.striped_row(x);
-    for (int k = 1; k <= M; ++k) {
-      int q = (k - 1) % Q;
-      int j = (k - 1) / Q;
-      EXPECT_EQ(striped[q * profile::MsvProfile::kLanes + j],
-                fx.msv.cost(x, k))
-          << "x=" << x << " k=" << k;
-    }
-  }
-}
-
 TEST_P(ProfileQuantization, PaddedTailIsInert) {
   ProfFixture fx(GetParam());
   const int M = fx.prof.length();

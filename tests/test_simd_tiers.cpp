@@ -22,13 +22,12 @@
 #include "cpu/generic.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_scalar.hpp"
-#include "cpu/msv_wide.hpp"
 #include "cpu/simd_backend/backend.hpp"
 #include "cpu/simd_backend/simd_tier.hpp"
 #include "cpu/ssv.hpp"
+#include "cpu/stripes.hpp"
 #include "cpu/vit_filter.hpp"
 #include "cpu/vit_scalar.hpp"
-#include "cpu/vit_wide.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/profile.hpp"
 #include "profile/fwd_profile.hpp"
@@ -206,9 +205,6 @@ TEST(TierEquivalenceRegression, FwdStripedRestripesAProfileAtAReusedAddress) {
   Pcg32 rng(83);
   const auto seq = bio::random_sequence(300, rng);
   for (SimdTier tier : cpu::supported_simd_tiers()) {
-    if (cpu::backend::tier_kernels(tier).f32_lanes ==
-        profile::FwdProfile::kLanes)
-      continue;  // the native 4-lane layout never re-stripes
     cpu::set_simd_tier(tier);
     std::optional<profile::FwdProfile> slot;
     for (const auto& prof : profs) {
@@ -228,31 +224,35 @@ TEST(TierEquivalenceRegression, FwdStripedRestripesAProfileAtAReusedAddress) {
 TEST_P(TierEquivalence, WideEnginesMatchScalarUnderEveryForcedTier) {
   Fixture fx(GetParam());
   auto seqs = test_sequences(fx);
-  cpu::WideMsvStripes<32> msv32(fx.msv);
-  cpu::WideMsvStripes<64> msv64(fx.msv);
-  cpu::WideVitStripes<16> vit16(fx.vit);
-  cpu::WideVitStripes<32> vit32(fx.vit);
+  cpu::MsvStripes msv32(fx.msv, 32);
+  cpu::MsvStripes msv64(fx.msv, 64);
+  cpu::VitStripes vit16(fx.vit, 16);
+  cpu::VitStripes vit32(fx.vit, 32);
   for (SimdTier tier : cpu::supported_simd_tiers()) {
     cpu::set_simd_tier(tier);
     for (const auto& seq : seqs) {
       auto mref = cpu::msv_scalar(fx.msv, seq.codes.data(), seq.length());
       auto mgot =
-          cpu::msv_striped_wide(fx.msv, msv32, seq.codes.data(), seq.length());
+          cpu::msv_striped_wide<32>(fx.msv, msv32, seq.codes.data(),
+                                    seq.length());
       EXPECT_EQ(mref.overflowed, mgot.overflowed);
       EXPECT_FLOAT_EQ(mref.score_nats, mgot.score_nats)
           << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
       auto mgot64 =
-          cpu::msv_striped_wide(fx.msv, msv64, seq.codes.data(), seq.length());
+          cpu::msv_striped_wide<64>(fx.msv, msv64, seq.codes.data(),
+                                    seq.length());
       EXPECT_EQ(mref.overflowed, mgot64.overflowed);
       EXPECT_FLOAT_EQ(mref.score_nats, mgot64.score_nats)
           << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
       auto vref = cpu::vit_scalar(fx.vit, seq.codes.data(), seq.length());
       auto vgot =
-          cpu::vit_striped_wide(fx.vit, vit16, seq.codes.data(), seq.length());
+          cpu::vit_striped_wide<16>(fx.vit, vit16, seq.codes.data(),
+                                    seq.length());
       EXPECT_FLOAT_EQ(vref.score_nats, vgot.score_nats)
           << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
       auto vgot32 =
-          cpu::vit_striped_wide(fx.vit, vit32, seq.codes.data(), seq.length());
+          cpu::vit_striped_wide<32>(fx.vit, vit32, seq.codes.data(),
+                                    seq.length());
       EXPECT_FLOAT_EQ(vref.score_nats, vgot32.score_nats)
           << "tier=" << cpu::simd_tier_name(tier) << " L=" << seq.length();
     }

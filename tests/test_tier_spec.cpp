@@ -20,7 +20,7 @@
 
 #include "bio/packing.hpp"
 #include "bio/synthetic.hpp"
-#include "cpu/fwd_wide.hpp"
+#include "cpu/stripes.hpp"
 #include "cpu/msv_filter.hpp"
 #include "cpu/msv_group.hpp"
 #include "cpu/simd_backend/backend.hpp"
@@ -222,18 +222,17 @@ TEST(TierSpec, EveryRowEntryMatchesThePortableSpecAtItsWidth) {
       const std::string at = std::string(cpu::simd_tier_name(tier)) +
                              " M=" + std::to_string(M);
 
-      const cpu::SharedMsvRows rows =
-          cpu::make_shared_msv_rows(m.msv, nat.u8_lanes);
-      const cpu::SharedVitStripes vst =
-          cpu::make_shared_vit_stripes(m.vit, nat.i16_lanes);
-      const cpu::WideFwdStripes fst(m.fwd, nat.f32_lanes);
+      const cpu::MsvStripes rows(m.msv, nat.u8_lanes);
+      const cpu::VitStripes vst(m.vit, nat.i16_lanes);
+      const cpu::FwdStripes fst(m.fwd, nat.f32_lanes);
       const cpu::TraceStripes tst(m.prof, tier);
       ASSERT_EQ(tst.tier(), tier);
       const cpu::FusedMsvGroup group(members, nat.u8_lanes,
                                      fit_q(members, nat.u8_lanes));
-      const std::size_t n8 = static_cast<std::size_t>(rows.Q) * rows.lanes;
+      const std::size_t n8 =
+          static_cast<std::size_t>(rows.segments()) * rows.lanes();
       const std::size_t n16 =
-          static_cast<std::size_t>(vst.view.Q) * vst.lanes;
+          static_cast<std::size_t>(vst.segments()) * vst.lanes();
       const std::size_t n32 = fst.row_floats();
       const std::size_t ntr =
           static_cast<std::size_t>(tst.view().Q) * nat.f32_lanes;
@@ -251,8 +250,9 @@ TEST(TierSpec, EveryRowEntryMatchesThePortableSpecAtItsWidth) {
         std::vector<std::uint8_t> r8(n8);
         auto check_bytes = [&](auto spec_fn, auto nat_fn, auto s,
                                const char* what) {
-          expect_same(spec_fn(m.msv, rows.rows, rows.Q, s, L, r8.data()),
-                      nat_fn(m.msv, rows.rows, rows.Q, s, L, r8.data()),
+          const int Q = rows.segments();
+          expect_same(spec_fn(m.msv, rows.row(0), Q, s, L, r8.data()),
+                      nat_fn(m.msv, rows.row(0), Q, s, L, r8.data()),
                       w + what);
         };
         check_bytes(spec.msv, nat.msv, seq, " msv");
@@ -262,10 +262,10 @@ TEST(TierSpec, EveryRowEntryMatchesThePortableSpecAtItsWidth) {
 
         std::vector<std::int16_t> r16(3 * n16);
         int spec_passes = -1, nat_passes = -2;
-        expect_same(spec.vit(m.vit, vst.view, seq, L, r16.data(),
+        expect_same(spec.vit(m.vit, vst.view(), seq, L, r16.data(),
                              r16.data() + n16, r16.data() + 2 * n16,
                              &spec_passes),
-                    nat.vit(m.vit, vst.view, seq, L, r16.data(),
+                    nat.vit(m.vit, vst.view(), seq, L, r16.data(),
                             r16.data() + n16, r16.data() + 2 * n16,
                             &nat_passes),
                     w + " vit");

@@ -4,7 +4,7 @@
 
 #include "bio/synthetic.hpp"
 #include "cpu/vit_scalar.hpp"
-#include "cpu/vit_wide.hpp"
+#include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
 #include "hmm/sampler.hpp"
 
@@ -22,7 +22,7 @@ void check_width(int M, double delete_extend, std::uint64_t seed) {
   auto model = hmm::generate_hmm(spec);
   hmm::SearchProfile prof(model, hmm::AlignMode::kLocalMultihit, 300);
   profile::VitProfile vit(prof);
-  cpu::WideVitStripes<N> stripes(vit);
+  cpu::VitStripes stripes(vit, N);
   Pcg32 rng(seed + 1);
   for (int rep = 0; rep < 10; ++rep) {
     auto seq = rep % 3 == 0 ? hmm::sample_homolog(model, rng)
