@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cpu/stripes.hpp"
 #include "hmm/generator.hpp"
 #include "profile/msv_profile.hpp"
 #include "profile/vit_profile.hpp"
@@ -54,6 +55,26 @@ TEST_P(ProfileQuantization, WordScoresInvertWithinHalfUnit) {
       }
       EXPECT_NEAR(static_cast<float>(w) / fx.vit.scale(), sc,
                   0.5f / fx.vit.scale() + 1e-5f);
+    }
+  }
+}
+
+TEST_P(ProfileQuantization, StripedLayoutPermutesLinear) {
+  // The 16-lane (SSE-width) stripes hold exactly the per-position costs:
+  // position k sits in stripe (k-1)%Q, lane (k-1)/Q.
+  ProfFixture fx(GetParam());
+  const int M = fx.prof.length();
+  constexpr int kLanes = 16;
+  const cpu::MsvStripes stripes(fx.msv, kLanes);
+  const int Q = stripes.segments();
+  ASSERT_EQ(Q, (M + kLanes - 1) / kLanes);
+  for (int x = 0; x < bio::kKp; ++x) {
+    const std::uint8_t* striped = stripes.row(x);
+    for (int k = 1; k <= M; ++k) {
+      int q = (k - 1) % Q;
+      int j = (k - 1) / Q;
+      EXPECT_EQ(striped[q * kLanes + j], fx.msv.cost(x, k))
+          << "x=" << x << " k=" << k;
     }
   }
 }
